@@ -26,7 +26,6 @@ import pytest
 from conftest import emit
 
 from repro.cli import main as cli_main
-from repro.tool.__main__ import main as tool_main
 from repro.tracediff import Baseline, diff_traces, extract_summary, save_baseline
 
 #: The recipe the committed baseline was produced with.
@@ -108,7 +107,7 @@ def test_cli_gate_and_baseline_acceptance(corpus, artifact_dir, tmp_path,
     report = str(tmp_path / "tracediff_report.json")
 
     # Without a baseline the reintroduced redundancy fails the gate.
-    assert tool_main(
+    assert cli_main(
         ["trace-diff", old_path, new_path, "--json", report]
     ) == 1
     captured = capsys.readouterr()
@@ -118,7 +117,7 @@ def test_cli_gate_and_baseline_acceptance(corpus, artifact_dir, tmp_path,
 
     # With the committed baseline every delta is accepted: exit 0.
     baseline_path = str(artifact_dir / "tracediff_baseline.json")
-    assert tool_main(
+    assert cli_main(
         ["trace-diff", old_path, new_path, "--baseline", baseline_path]
     ) == 0
     accepted = capsys.readouterr().out

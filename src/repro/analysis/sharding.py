@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.obs as telemetry
-from repro.analysis.offline import OfflineAnalyzer
 from repro.analysis.online import OnlineAnalyzer
+from repro.analysis.pipeline import analyze
 from repro.analysis.profile import ObjectInfo, ValueProfile
 from repro.collector.collector import CollectionCounters, DataCollector
 from repro.errors import AnalysisError
@@ -329,23 +329,23 @@ def run_shard(
         # Worker-side spans would land in a registry nobody reads (the
         # fork's copy); the parent's spans cover the fan-out.
         telemetry.disable()
+    try:
+        return _replay_shard(trace_path, index, start, stop, config, salvage)
+    finally:
+        if telemetry_was_enabled:
+            telemetry.enable()
+
+
+def _replay_shard(trace_path, index, start, stop, config, salvage):
     began = time.perf_counter()
     online = ShardOnlineAnalyzer(config.patterns, active=(start == 0))
-    collector = DataCollector(
-        online,
-        coarse=config.coarse,
-        fine=config.fine,
-        sampling=config.sampling,
-        buffer_bytes=config.buffer_bytes,
-        copy_policy=config.copy_policy,
-    )
-    collector.analysis_active = online.active
     watermark = CollectionCounters()
     active_began = began
     applied = 0
-    replayer = TraceReplayer(trace_path, salvage=salvage)
-    collector.attach(replayer)
-    try:
+
+    def drive(collector: DataCollector) -> None:
+        nonlocal watermark, active_began, applied
+        collector.analysis_active = online.active
         for event_index, (kind, meta, arrays) in enumerate(replayer.events()):
             if event_index >= stop:
                 break
@@ -356,18 +356,16 @@ def run_shard(
                 active_began = time.perf_counter()
             replayer.apply_event(kind, meta, arrays)
             applied += 1
-    finally:
-        collector.detach()
-        replayer.close()
-    offline = OfflineAnalyzer(config.patterns)
-    offline_hits = offline.analyze_untyped(online.pending_untyped)
+
+    with TraceReplayer(trace_path, salvage=salvage) as replayer:
+        profile, _, offline_hits = analyze(
+            config, replayer, drive, online=online, annotate=False
+        )
     finished = time.perf_counter()
-    if telemetry_was_enabled:
-        telemetry.enable()
     delta = CollectionCounters(
         **{
             name: value - getattr(watermark, name)
-            for name, value in vars(collector.counters).items()
+            for name, value in vars(profile.counters).items()
         }
     )
     return ShardResult(
@@ -375,20 +373,15 @@ def run_shard(
         start=start,
         stop=stop,
         events=max(applied - start, 0),
-        graph=online.flow.graph,
-        coarse_hits=online.profile.coarse_hits,
-        fine_hits=online.profile.fine_hits,
+        graph=profile.graph,
+        coarse_hits=profile.coarse_hits,
+        fine_hits=profile.fine_hits,
         offline_hits=offline_hits,
-        objects=online.profile.objects,
+        objects=profile.objects,
         counters=delta,
         elapsed_s=finished - began,
         active_s=finished - active_began,
     )
-
-
-def _run_shard_payload(payload: Tuple) -> ShardResult:
-    """Pool entry point (a single picklable argument)."""
-    return run_shard(*payload)
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +401,7 @@ def run_shards_parallel(
         for index, (start, stop) in enumerate(ranges)
     ]
     if len(payloads) == 1:
-        return [_run_shard_payload(payloads[0])]
+        return [run_shard(*payloads[0])]
     import multiprocessing
 
     method = (
@@ -419,7 +412,7 @@ def run_shards_parallel(
     context = multiprocessing.get_context(method)
     processes = min(len(payloads), max(os.cpu_count() or 1, 1))
     with context.Pool(processes=processes) as pool:
-        results = pool.map(_run_shard_payload, payloads)
+        results = pool.starmap(run_shard, payloads)
     return results
 
 

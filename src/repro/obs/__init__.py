@@ -34,8 +34,8 @@ Typical use::
     print(telemetry.registry().to_prometheus())
     print(telemetry.tracer().to_json())
 
-or the CLI: ``python -m repro.tool stats <workload>`` and
-``python -m repro.tool trace <workload> --self``.
+or the CLI: ``python -m repro stats <workload>`` and
+``python -m repro trace <workload> --self``.
 """
 
 from __future__ import annotations

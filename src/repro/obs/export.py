@@ -4,7 +4,7 @@ One Chrome-trace JSON array holding both timelines — the application
 stream on pid 0 (from :class:`repro.analysis.trace.TraceRecorder`,
 modelled microseconds) and the profiler's own stages on pid 1 (wall
 microseconds) — loadable as one file in ``chrome://tracing`` or
-https://ui.perfetto.dev.  This is the ``python -m repro.tool trace
+https://ui.perfetto.dev.  This is the ``python -m repro trace
 --self`` output.
 """
 

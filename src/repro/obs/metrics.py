@@ -9,7 +9,7 @@ owns exposition.  Two export formats:
   exposition format (``# HELP`` / ``# TYPE`` / samples), scrapable or
   diffable in CI;
 - :meth:`MetricsRegistry.to_json` — a structured dump for programmatic
-  consumers (the ``python -m repro.tool stats --format json`` surface).
+  consumers (the ``python -m repro stats --format json`` surface).
 
 Metric names follow the Prometheus convention:
 ``repro_<stage>_<what>[_total|_seconds|_bytes]``, where ``<stage>`` is

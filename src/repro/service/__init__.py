@@ -18,8 +18,8 @@ appends every mutation to a torn-tail-tolerant JSONL write-ahead log
 job recovered — terminals intact, in-flight requeued.
 
 Observability is the headline: ``GET /metrics`` is a Prometheus scrape
-endpoint fed by a pluggable collector registry (``collector_*.py``
-files discovered by name, Omnistat-style), ``GET /healthz`` and
+endpoint fed by a fixed list of collectors
+(:data:`repro.service.collectors.COLLECTORS`), ``GET /healthz`` and
 ``GET /status`` give liveness and a JSON digest, and ``GET /trace``
 renders every job's self-spans as one Chrome-trace timeline with one
 process lane per job.  Each worker runs the re-entrant
@@ -29,20 +29,18 @@ on completion the service folds the worker registry into its own via
 :meth:`~repro.obs.MetricsRegistry.merge` with ``{job=..., workload=...}``
 labels, so the scrape output carries per-job pipeline series.
 
-Start it with ``python -m repro.tool serve`` (see ``docs/service.md``).
+Start it with ``python -m repro serve`` (see ``docs/service.md``).
 """
 
 from __future__ import annotations
 
 from repro.service.jobs import JobRecord, JobResult, JobSpec, JobState, JobStore
-from repro.service.collectors import CollectorPlugin, load_collectors
 from repro.service.pool import WorkerPool
 from repro.service.service import ProfilingService, ServiceConfig
 from repro.service.http import make_server, serve_forever
 from repro.service.wal import WriteAheadLog, load_wal
 
 __all__ = [
-    "CollectorPlugin",
     "JobRecord",
     "JobResult",
     "JobSpec",
@@ -52,7 +50,6 @@ __all__ = [
     "ServiceConfig",
     "WorkerPool",
     "WriteAheadLog",
-    "load_collectors",
     "load_wal",
     "make_server",
     "serve_forever",

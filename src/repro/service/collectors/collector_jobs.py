@@ -10,8 +10,6 @@ Two jobs for one collector:
   collector/analyzer/flowgraph instrument set appears per job.
 """
 
-COLLECTOR = "jobs"
-
 
 def collect(service, registry):
     registry.merge(service.job_metrics)

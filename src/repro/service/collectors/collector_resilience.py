@@ -11,8 +11,6 @@ sources land in the same metric families after the per-job merge.
 
 from repro.resilience import HealthReport
 
-COLLECTOR = "resilience"
-
 #: HealthReport fields surfaced per job: (metric suffix, dict key, help).
 _DIMENSIONS = (
     ("faults_injected", "faults_injected",

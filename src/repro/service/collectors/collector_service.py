@@ -5,8 +5,6 @@ the collector holds no state of its own — restarting the daemon resets
 the series exactly as Prometheus expects of a fresh target.
 """
 
-COLLECTOR = "service"
-
 #: Job latency bucket bounds (seconds) — job runs take seconds, not
 #: the microseconds the default pipeline-stage buckets cover.
 LATENCY_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0)
@@ -43,7 +41,7 @@ def collect(service, registry):
     ).set(service.uptime_seconds)
     registry.gauge(
         "repro_service_collectors",
-        "Collector plug-ins loaded into the scrape registry.",
+        "Collectors feeding the scrape registry.",
     ).set(len(service.collectors))
 
     outcomes = registry.counter(

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import QueueFullError, ServiceError
 from repro.obs import MetricsRegistry, Span
 from repro.obs.export import lane_trace_json
-from repro.service.collectors import CollectorPlugin, load_collectors
+from repro.service.collectors import COLLECTORS
 from repro.service.jobs import JobRecord, JobSpec, JobStore
 from repro.service.pool import WorkerPool
 
@@ -38,8 +38,6 @@ class ServiceConfig:
     workers: int = 2
     #: Where profile/trace artifacts land (a temp dir when omitted).
     artifact_dir: Optional[str] = None
-    #: Extra collector plug-in directories, searched after built-ins.
-    collector_dirs: Tuple[str, ...] = ()
     #: Worker-process start method override (tests use "fork").
     start_method: Optional[str] = None
     #: Seconds a graceful shutdown waits for the backlog.
@@ -103,9 +101,8 @@ class ProfilingService:
         #: Scrape-time collector failures, by collector name.
         self.collector_errors: Dict[str, int] = {}
         self._errors_lock = threading.Lock()
-        self.collectors: List[CollectorPlugin] = load_collectors(
-            self.config.collector_dirs
-        )
+        #: ``(name, collect)`` of every scrape collector.
+        self.collectors = COLLECTORS
         self._started_monotonic = time.monotonic()
         self.started_unix = time.time()
         self._accepting = True
@@ -177,17 +174,17 @@ class ProfilingService:
     def scrape(self) -> str:
         """The ``/metrics`` Prometheus exposition.
 
-        A fresh registry per scrape; every collector plug-in writes
-        into it, failures isolated and counted.
+        A fresh registry per scrape; every collector writes into it,
+        failures isolated and counted.
         """
         registry = MetricsRegistry()
-        for plugin in self.collectors:
+        for name, collect in self.collectors:
             try:
-                plugin.collect(self, registry)
+                collect(self, registry)
             except Exception:
                 with self._errors_lock:
-                    self.collector_errors[plugin.name] = (
-                        self.collector_errors.get(plugin.name, 0) + 1
+                    self.collector_errors[name] = (
+                        self.collector_errors.get(name, 0) + 1
                     )
         return registry.to_prometheus()
 
@@ -225,9 +222,6 @@ class ProfilingService:
                 "failed": self.store.failed_on_recovery,
                 "wal_torn_on_load": self.store.wal_torn_on_load,
             },
-            "collectors": [
-                {"name": plugin.name, "path": plugin.path}
-                for plugin in self.collectors
-            ],
+            "collectors": [{"name": name} for name, _ in self.collectors],
             "collector_errors": dict(self.collector_errors),
         }

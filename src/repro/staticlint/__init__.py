@@ -18,7 +18,7 @@ value-pattern candidates before a single launch runs:
 - :mod:`~repro.staticlint.linter` — the driver: lint a function, a
   kernel, or every kernel a registered workload launches.
 
-CLI: ``python -m repro.tool lint [--workload NAME | --all]`` (see
+CLI: ``python -m repro lint [--workload NAME | --all]`` (see
 ``docs/static-analysis.md``).
 
 Attribute access is lazy (PEP 562): :mod:`repro.binary.slicing` imports

@@ -1,722 +1,8 @@
-"""Self-telemetry CLI: ``python -m repro.tool <command>``.
-
-Commands:
-
-- ``stats <workload>`` — profile a workload with self-telemetry on and
-  dump the metrics registry (Prometheus text or JSON) plus the
-  per-stage self-overhead table and its priced overhead row;
-- ``trace <workload>`` — export the modelled application timeline as
-  Chrome-trace JSON; with ``--self``, the profiler's own stage spans
-  ride along on a second process row (open in ``chrome://tracing`` or
-  https://ui.perfetto.dev);
-- ``health <workload>`` — run a resilient (optionally chaos-injected)
-  profile and print its :class:`~repro.resilience.HealthReport`; the
-  exit code stays 0 however degraded the run was — degradation is loud
-  in the report, invisible in the exit code (``docs/resilience.md``);
-  ``--shrink`` greedily minimizes a failing ``--chaos`` plan to the
-  fewest fault fields that still reproduce the run's symptom;
-- ``lint [--workload NAME | --all]`` — run the static value-pattern
-  linter (:mod:`repro.staticlint`) over a workload's kernels (or every
-  registered workload), cross-check findings against the dynamic
-  profile, and exit nonzero iff any finding is error-severity
-  (``docs/static-analysis.md``);
-- ``replay <trace>`` — profile a recorded ``.vetrace`` without running
-  any workload; ``--shards N`` fans the analysis out over N worker
-  processes (identical hits and flow graph, see ``docs/trace.md``),
-  ``--events A:B`` analyzes only that event range;
-- ``trace-diff <old> <new>`` — match kernels across two ``.vetrace``
-  recordings by CFG subgraph similarity and diff their value-pattern
-  profiles, flagging regressions (new redundancies, lost patterns,
-  grown/shrunk volumes) against an optional committed baseline; exits
-  nonzero on un-baselined ``--fail-on`` deltas (``docs/trace-diff.md``);
-- ``serve`` — run the continuous-profiling daemon: a local HTTP API
-  accepting profiling jobs, a worker-process pool executing them
-  concurrently, and a Prometheus scrape endpoint (``/metrics``) fed by
-  pluggable ``collector_*.py`` plug-ins (``docs/service.md``); SIGTERM
-  drains the backlog before exiting; ``--state-dir`` makes the job
-  store durable (WAL replay on restart), ``--max-queue`` bounds
-  admission, ``--default-deadline`` arms the hung-worker watchdog.
-
-Any :class:`~repro.errors.ReproError` exits nonzero with a one-line
-message; pass ``--debug`` (before the subcommand) for the full
-traceback.
-
-The application-facing CLI stays at ``python -m repro``; this module is
-the tool-introspection surface (ISSUE 2: "where does profiling time
-go" as a first-class table).
-"""
-
-from __future__ import annotations
-
-import argparse
-import json
-import sys
-import warnings
-from typing import List, Optional
-
-import repro.obs as telemetry
-from repro.analysis.trace import TraceRecorder
-from repro.errors import DegradedProfileWarning, ReproError, TraceError
-from repro.gpu.runtime import GpuRuntime
-from repro.gpu.timing import A100, RTX_2080_TI
-from repro.obs.export import merged_trace_json
-from repro.obs.selfreport import (
-    format_stage_table,
-    price_self_overhead,
-    stage_rows,
-)
-from repro.resilience import FaultPlan
-from repro.staticlint import Severity, lint_workload
-from repro.tool.config import ToolConfig
-from repro.tool.valueexpert import ValueExpert
-from repro.workloads import get_workload, workload_names
-
-
-def _platform(name: str):
-    return {"2080ti": RTX_2080_TI, "a100": A100}[name]
-
-
-def _profile_with_telemetry(args, recorder: Optional[TraceRecorder] = None):
-    """Run one observability-enabled profile; returns (profile, runtime)."""
-    workload = get_workload(args.workload)(scale=args.scale)
-    platform = _platform(args.platform)
-    runtime = GpuRuntime(platform=platform)
-    if recorder is not None:
-        runtime.subscribe(recorder)
-    telemetry.reset()
-    tool = ValueExpert(ToolConfig(observability=True))
-    profile = tool.profile(
-        workload.run_baseline,
-        runtime=runtime,
-        platform=platform,
-        name=workload.name,
-    )
-    return profile, runtime
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-        print(f"wrote {out}")
-    else:
-        print(text)
-
-
-def _cmd_stats(args) -> int:
-    profile, runtime = _profile_with_telemetry(args)
-    registry = telemetry.registry()
-    exposition = (
-        registry.to_json() if args.format == "json" else registry.to_prometheus()
-    )
-    _emit(exposition, args.out)
-    rows = stage_rows(telemetry.tracer())
-    print()
-    print(f"self-overhead by stage — {profile.workload_name} "
-          f"[{profile.platform_name}]")
-    print(format_stage_table(rows))
-    report = price_self_overhead(
-        telemetry.tracer(),
-        app_time_s=runtime.times.total,
-        workload=profile.workload_name,
-        platform=profile.platform_name,
-    )
-    print()
-    print(report)
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    recorder = TraceRecorder()
-    profile, _runtime = _profile_with_telemetry(args, recorder=recorder)
-    tracer = telemetry.tracer() if args.self_spans else None
-    text = merged_trace_json(recorder.to_events(profile), tracer)
-    _emit(text, args.out)
-    return 0
-
-
-def _run_health(args, plan):
-    """One resilient profile under ``plan``; returns its HealthReport."""
-    workload = get_workload(args.workload)(scale=args.scale)
-    tool = ValueExpert(
-        ToolConfig(
-            resilient=True,
-            fault_plan=plan,
-            memory_budget_bytes=args.budget,
-        )
-    )
-    # The report carries the degradation; the warning would only repeat
-    # it on stderr.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegradedProfileWarning)
-        profile = tool.profile(
-            workload.run_baseline,
-            platform=_platform(args.platform),
-            name=workload.name,
-        )
-    return profile
-
-
-#: Shrinker failure predicates, strongest first: the shrunk plan must
-#: reproduce the *original* run's most specific symptom, not merely
-#: "something degraded".
-_SHRINK_SYMPTOMS = (
-    ("workload_aborted", lambda h: h.workload_aborted),
-    ("corrupted_copies", lambda h: h.corrupted_copies > 0),
-    ("alloc_failures", lambda h: h.alloc_failures > 0),
-    ("torn_trace", lambda h: h.torn_trace or h.trace_salvaged),
-    ("dropped_records", lambda h: h.dropped_records > 0),
-    ("quarantined_launches", lambda h: h.quarantined_launches > 0),
-    ("degraded", lambda h: not h.pristine),
-)
-
-
-def _shrink_plan(args, plan, health):
-    """Greedily minimize a failing chaos plan.
-
-    Picks the original run's most specific symptom, then tries zeroing
-    each active fault field in turn, keeping the zero whenever the
-    symptom still reproduces.  Deterministic workload + seeded plan
-    makes every trial run exact, so one pass suffices.  Returns
-    ``(minimal_plan, symptom)`` or ``(None, None)`` when the original
-    run showed nothing to shrink.
-    """
-    import dataclasses
-
-    symptom = None
-    reproduces = None
-    for name, predicate in _SHRINK_SYMPTOMS:
-        if predicate(health):
-            symptom, reproduces = name, predicate
-            break
-    if symptom is None:
-        return None, None
-    defaults = FaultPlan()
-    current = plan
-    for name in plan.active_fields():
-        candidate = dataclasses.replace(
-            current, **{name: getattr(defaults, name)}
-        )
-        if reproduces(_run_health(args, candidate).health):
-            current = candidate
-            print(f"shrink: dropped {name} ({symptom} persists)")
-        else:
-            print(f"shrink: kept {name} (needed for {symptom})")
-    return current, symptom
-
-
-def _cmd_health(args) -> int:
-    plan = FaultPlan.chaos(args.seed) if args.chaos else None
-    if args.shrink and plan is None:
-        print("repro.tool: error: --shrink requires --chaos",
-              file=sys.stderr)
-        return 2
-    profile = _run_health(args, plan)
-    health = profile.health
-    print(f"health of {profile.workload_name} "
-          f"[{profile.platform_name}]"
-          + (f" under chaos seed {args.seed}" if args.chaos else ""))
-    print(health.summary())
-    shrunk = None
-    if args.shrink:
-        print()
-        shrunk, symptom = _shrink_plan(args, plan, health)
-        if shrunk is None:
-            print("shrink: run was pristine; nothing to reproduce")
-        else:
-            print(f"minimal plan reproducing {symptom} "
-                  f"({len(shrunk.active_fields())} of "
-                  f"{len(plan.active_fields())} fault fields):")
-            print(json.dumps(shrunk.to_dict(), indent=2))
-    if args.json:
-        payload = {
-            "workload": profile.workload_name,
-            "platform": profile.platform_name,
-            "plan": None if plan is None else plan.to_dict(),
-            "health": health.to_dict(),
-        }
-        if shrunk is not None:
-            payload["shrunk_plan"] = shrunk.to_dict()
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote health report to {args.json}")
-    return 0
-
-
-def _cmd_lint(args) -> int:
-    names = workload_names() if args.all else [args.workload]
-    rules = args.rules.split(",") if args.rules else None
-    cross_profile = None
-    if args.cross_check:
-        # Replay the recorded trace once; every linted workload
-        # cross-checks against the replayed profile instead of its own
-        # fresh run (the record/replay decoupling at work).
-        cross_profile = ValueExpert(ToolConfig()).profile_from_trace(
-            args.cross_check
-        )
-    results = []
-    exit_code = 0
-    for index, name in enumerate(names):
-        result = lint_workload(
-            name,
-            scale=args.scale,
-            platform=_platform(args.platform),
-            rules=rules,
-            cross_profile=cross_profile,
-        )
-        results.append(result)
-        if index:
-            print()
-        print(f"== {name} ==")
-        print(result.render())
-        if result.has_errors:
-            exit_code = 1
-    if args.json:
-        payload = {
-            "scale": args.scale,
-            "platform": args.platform,
-            "workloads": [r.to_dict() for r in results],
-            "errors": sum(r.count(Severity.ERROR) for r in results),
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote lint report to {args.json}")
-    if args.write_baseline:
-        from repro.tracediff.baseline import write_text_atomic
-
-        lines = [
-            f"{r.workload}: {r.count(Severity.ERROR)} error "
-            f"{r.count(Severity.WARNING)} warning "
-            f"{r.count(Severity.INFO)} info"
-            for r in results
-        ]
-        write_text_atomic(args.write_baseline, "\n".join(lines))
-        print(f"wrote lint baseline to {args.write_baseline}")
-    return exit_code
-
-
-#: Default committed location of the lint baseline (CI diffs it).
-LINT_BASELINE_PATH = "benchmarks/out/staticlint_baseline.txt"
-#: Default ``--fail-on`` kinds for trace-diff.
-DEFAULT_FAIL_ON = "new-redundancy"
-
-
-def _parse_fail_on(spec: str):
-    """Comma-separated delta kinds -> list of DeltaKind."""
-    from repro.tracediff.differ import FAIL_ON_CHOICES
-
-    kinds = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token not in FAIL_ON_CHOICES:
-            raise ReproError(
-                f"unknown --fail-on kind {token!r} "
-                f"(choices: {', '.join(FAIL_ON_CHOICES)})"
-            )
-        kinds.append(FAIL_ON_CHOICES[token])
-    return kinds
-
-
-def _cmd_trace_diff(args) -> int:
-    import os
-
-    from repro.tracediff import (
-        Baseline,
-        apply_baseline,
-        diff_traces,
-        extract_summary,
-        load_baseline,
-        render_diff,
-        save_baseline,
-    )
-    from repro.tracediff.differ import DiffThresholds
-
-    fail_on = _parse_fail_on(args.fail_on)
-    old = extract_summary(args.old, shards=args.shards)
-    new = extract_summary(args.new, shards=args.shards)
-    diff = diff_traces(
-        old,
-        new,
-        DiffThresholds(relative=args.threshold, min_bytes=args.min_bytes),
-    )
-
-    if args.write_baseline:
-        if not args.baseline:
-            print(
-                "repro.tool: error: --write-baseline requires --baseline",
-                file=sys.stderr,
-            )
-            return 2
-        baseline = Baseline.from_diff(diff, note=args.note or "")
-        save_baseline(args.baseline, baseline)
-        print(render_diff(diff))
-        print(
-            f"wrote baseline accepting {len(baseline.accepted)} delta "
-            f"key(s) to {args.baseline}"
-        )
-        return 0
-
-    stale = []
-    if args.baseline and os.path.exists(args.baseline):
-        stale = apply_baseline(diff, load_baseline(args.baseline))
-    print(render_diff(diff))
-    for key in stale:
-        print(f"note: stale baseline entry (no longer occurs): {key}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(diff.to_dict(), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote diff report to {args.json}")
-    flagged = diff.flagged(fail_on)
-    if flagged:
-        print(
-            f"trace-diff: {len(flagged)} un-baselined "
-            f"{', '.join(sorted({d.kind.value for d in flagged}))} "
-            f"delta(s) — failing",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    # Imported here so the one-shot CLI paths never pay for the
-    # service stack.
-    import signal
-
-    from repro.service import ProfilingService, ServiceConfig
-    from repro.service.http import make_server
-
-    service = ProfilingService(
-        ServiceConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            artifact_dir=args.spool,
-            collector_dirs=tuple(args.collectors or ()),
-            drain_timeout=args.drain_timeout,
-            state_dir=args.state_dir,
-            max_queue_depth=args.max_queue,
-            default_deadline_s=args.default_deadline,
-        )
-    )
-    service.start()
-    server = make_server(service)
-    host, port = server.server_address[:2]
-    print(f"repro.tool serve: listening on http://{host}:{port} "
-          f"({service.pool.size} workers, artifacts in "
-          f"{service.pool.artifact_dir})", flush=True)
-    if args.state_dir:
-        print(f"repro.tool serve: durable state in {args.state_dir} "
-              f"(recovered {service.store.recovered_jobs} jobs: "
-              f"{service.store.requeued_on_recovery} requeued, "
-              f"{service.store.failed_on_recovery} failed"
-              + (", WAL tail was torn" if service.store.wal_torn_on_load
-                 else "")
-              + ")", flush=True)
-
-    def _shutdown(signum, frame):
-        # Graceful drain: stop accepting, let the backlog finish (up
-        # to --drain-timeout), then fall out of serve_forever.  The
-        # handler runs on the main thread — the one blocked inside
-        # serve_forever — and server.shutdown() waits for that loop to
-        # exit, so calling it here directly would deadlock.
-        import threading
-
-        print(f"repro.tool serve: signal {signum}, draining...", flush=True)
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    signal.signal(signal.SIGINT, _shutdown)
-    try:
-        server.serve_forever(poll_interval=0.1)
-    finally:
-        drained = service.shutdown(drain=True)
-        server.server_close()
-        print(
-            "repro.tool serve: "
-            + ("drained and stopped" if drained else
-               "stopped with jobs unfinished (drain timeout)"),
-            flush=True,
-        )
-    return 0
-
-
-def _parse_event_range(spec: str):
-    """``A:B`` (or ``A:`` for end-of-trace) -> (start, stop)."""
-    head, sep, tail = spec.partition(":")
-    if not sep or not head.isdigit() or not (tail == "" or tail.isdigit()):
-        raise TraceError(
-            f"invalid --events range {spec!r}; expected START:STOP "
-            f"(e.g. 10:50) or START: for end-of-trace"
-        )
-    return (int(head), int(tail) if tail else None)
-
-
-def _cmd_replay(args) -> int:
-    events = None if args.events is None else _parse_event_range(args.events)
-    tool = ValueExpert(ToolConfig())
-    profile = tool.profile_from_trace(
-        args.trace, shards=args.shards, events=events
-    )
-    print(profile.summary())
-    if tool.last_shard_results:
-        print()
-        print(f"sharded over {len(tool.last_shard_results)} workers:")
-        for result in tool.last_shard_results:
-            print(
-                f"  shard {result.index}: events "
-                f"[{result.start}, {result.stop}) in {result.elapsed_s:.3f}s "
-                f"({result.active_s:.3f}s active)"
-            )
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(profile.to_json())
-            handle.write("\n")
-        print(f"wrote profile to {args.json}")
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse command tree."""
-    parser = argparse.ArgumentParser(
-        prog="repro.tool",
-        description="Profiler self-telemetry: metrics registry and "
-        "self-span timelines",
-    )
-    parser.add_argument(
-        "--debug", action="store_true",
-        help="re-raise ReproError with a full traceback instead of a "
-        "one-line message",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    stats = sub.add_parser(
-        "stats", help="dump the self-telemetry metrics registry"
-    )
-    stats.add_argument("workload", choices=workload_names())
-    stats.add_argument("--scale", type=float, default=0.5)
-    stats.add_argument(
-        "--platform", choices=["2080ti", "a100"], default="2080ti"
-    )
-    stats.add_argument(
-        "--format", choices=["prom", "json"], default="prom",
-        help="exposition format (Prometheus text or JSON)",
-    )
-    stats.add_argument("--out", help="write the exposition to a file")
-
-    trace = sub.add_parser(
-        "trace", help="export a Chrome-trace timeline of one run"
-    )
-    trace.add_argument("workload", choices=workload_names())
-    trace.add_argument("--scale", type=float, default=0.5)
-    trace.add_argument(
-        "--platform", choices=["2080ti", "a100"], default="2080ti"
-    )
-    trace.add_argument(
-        "--self", dest="self_spans", action="store_true",
-        help="include the profiler's own stage spans (pid 1)",
-    )
-    trace.add_argument("--out", help="write the trace JSON to a file")
-
-    health = sub.add_parser(
-        "health",
-        help="run a resilient (optionally fault-injected) profile and "
-        "report its degradation",
-    )
-    health.add_argument("workload", choices=workload_names())
-    health.add_argument("--scale", type=float, default=0.5)
-    health.add_argument(
-        "--platform", choices=["2080ti", "a100"], default="2080ti"
-    )
-    health.add_argument(
-        "--chaos", action="store_true",
-        help="inject a seeded chaos FaultPlan into the run",
-    )
-    health.add_argument(
-        "--seed", type=int, default=0,
-        help="chaos plan seed (with --chaos)",
-    )
-    health.add_argument(
-        "--budget", type=int, default=None,
-        help="collector mirror budget in bytes (degradation ladder)",
-    )
-    health.add_argument(
-        "--shrink", action="store_true",
-        help="greedily minimize the chaos plan to the fewest fault "
-        "fields that still reproduce the run's symptom (with --chaos)",
-    )
-    health.add_argument("--json", help="write the health report as JSON")
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the static value-pattern linter over workload kernels",
-    )
-    which = lint.add_mutually_exclusive_group(required=True)
-    which.add_argument(
-        "--workload", choices=workload_names(), help="lint one workload"
-    )
-    which.add_argument(
-        "--all", action="store_true", help="lint every registered workload"
-    )
-    lint.add_argument("--scale", type=float, default=0.25)
-    lint.add_argument(
-        "--platform", choices=["2080ti", "a100"], default="2080ti"
-    )
-    lint.add_argument(
-        "--rules",
-        help="comma-separated rule ids to run (default: all passes)",
-    )
-    lint.add_argument("--json", help="write the findings report as JSON")
-    lint.add_argument(
-        "--cross-check", dest="cross_check", metavar="TRACE",
-        help="cross-check findings against a recorded .vetrace replay "
-        "instead of each workload's own fresh profile",
-    )
-    lint.add_argument(
-        "--write-baseline", dest="write_baseline", metavar="PATH",
-        nargs="?", const=LINT_BASELINE_PATH, default=None,
-        help="write the per-workload severity counts as the committed "
-        f"lint baseline (default path: {LINT_BASELINE_PATH}; "
-        "typically combined with --all)",
-    )
-
-    replay = sub.add_parser(
-        "replay",
-        help="profile a recorded .vetrace, optionally sharded over "
-        "worker processes",
-    )
-    replay.add_argument("trace", help="path to the .vetrace recording")
-    replay.add_argument(
-        "--shards", type=int, default=1,
-        help="analyze the trace in N parallel worker processes "
-        "(default: 1, serial)",
-    )
-    replay.add_argument(
-        "--events", metavar="START:STOP",
-        help="analyze only this event range (serial replay only); "
-        "earlier events just reconstruct device state",
-    )
-    replay.add_argument("--json", help="write the profile JSON to a file")
-
-    trace_diff = sub.add_parser(
-        "trace-diff",
-        help="match kernels across two .vetrace recordings by CFG "
-        "similarity and diff their value-pattern profiles",
-    )
-    trace_diff.add_argument("old", help="the reference .vetrace recording")
-    trace_diff.add_argument("new", help="the candidate .vetrace recording")
-    trace_diff.add_argument(
-        "--json", help="write the full diff report as JSON (CI artifact)"
-    )
-    trace_diff.add_argument(
-        "--baseline", metavar="FILE",
-        help="committed baseline of accepted delta keys "
-        "(e.g. benchmarks/out/tracediff_baseline.json)",
-    )
-    trace_diff.add_argument(
-        "--write-baseline", dest="write_baseline", action="store_true",
-        help="accept every current delta into --baseline and exit 0",
-    )
-    trace_diff.add_argument(
-        "--note", help="free-text note stored in a written baseline"
-    )
-    trace_diff.add_argument(
-        "--fail-on", dest="fail_on", default=DEFAULT_FAIL_ON,
-        metavar="KINDS",
-        help="comma-separated delta kinds that fail the run "
-        f"(default: {DEFAULT_FAIL_ON}; e.g. new-redundancy,lost-pattern)",
-    )
-    trace_diff.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="minimum relative change for grown/shrunk deltas "
-        "(default: 0.25)",
-    )
-    trace_diff.add_argument(
-        "--min-bytes", dest="min_bytes", type=int, default=64,
-        help="minimum absolute redundant-byte change for site-volume "
-        "deltas (default: 64)",
-    )
-    trace_diff.add_argument(
-        "--shards", type=int, default=1,
-        help="analyze each recording in N parallel worker processes",
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the continuous-profiling daemon (HTTP job API + "
-        "Prometheus scrape endpoint)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8321,
-        help="listen port (0 picks a free port, printed on startup)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2,
-        help="concurrent worker processes (default: 2)",
-    )
-    serve.add_argument(
-        "--collectors", action="append", metavar="DIR",
-        help="extra collector plug-in directory (repeatable; "
-        "collector_*.py files are discovered by name)",
-    )
-    serve.add_argument(
-        "--spool", metavar="DIR",
-        help="artifact directory for profile/trace JSON "
-        "(default: a fresh temp dir)",
-    )
-    serve.add_argument(
-        "--drain-timeout", type=float, default=60.0,
-        help="seconds a SIGTERM drain waits for the backlog",
-    )
-    serve.add_argument(
-        "--state-dir", metavar="DIR",
-        help="durable state directory: the job WAL lives here and is "
-        "replayed on startup, so a killed daemon restarted with the "
-        "same directory recovers every job",
-    )
-    serve.add_argument(
-        "--max-queue", type=int, default=None, metavar="N",
-        help="admission limit: reject submissions beyond N queued jobs "
-        "with HTTP 429 + Retry-After (default: unbounded)",
-    )
-    serve.add_argument(
-        "--default-deadline", type=float, default=None, metavar="SECONDS",
-        help="deadline for jobs whose spec sets none; expired workers "
-        "are terminated (then killed) and the attempt fails as timed "
-        "out (default: unlimited)",
-    )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "health":
-            return _cmd_health(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        if args.command == "trace-diff":
-            return _cmd_trace_diff(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        return _cmd_trace(args)
-    except ReproError as exc:
-        if args.debug:
-            raise
-        print(f"repro.tool: error: {exc}", file=sys.stderr)
-        return 1
-
+"""``python -m repro.tool``: an alias of ``python -m repro`` (:mod:`repro.cli`)."""
 
 if __name__ == "__main__":  # pragma: no cover
+    import sys
+
+    from repro.cli import main
+
     sys.exit(main())

@@ -12,8 +12,9 @@ Usage::
 ``my_workload`` is either a callable taking a
 :class:`~repro.gpu.runtime.GpuRuntime`, or any object with ``run(rt)``
 (the :class:`~repro.workloads.base.Workload` protocol).  The facade
-wires collector -> online analyzer during the run, then applies the
-offline analyzer (type slicing, source annotation) postmortem.
+runs it through the analysis pipeline (:mod:`repro.analysis.pipeline`):
+collector -> online analyzer during the run, then the offline analyzer
+(type slicing, source annotation) postmortem.
 
 Profiling can also run from a recording instead of a live workload:
 ``profile(..., record_path=...)`` writes a ``.vetrace`` of the run as a
@@ -27,12 +28,11 @@ from __future__ import annotations
 import contextlib
 import time
 import warnings
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import repro.obs as telemetry
 from repro.obs import MetricsRegistry, SpanTracer
-from repro.analysis.offline import OfflineAnalyzer
-from repro.analysis.online import OnlineAnalyzer
+from repro.analysis.pipeline import analyze, finish_offline
 from repro.analysis.profile import ValueProfile
 from repro.analysis.sharding import (
     PREFIX_COST_RATIO,
@@ -43,27 +43,11 @@ from repro.analysis.sharding import (
 )
 from repro.collector.collector import DataCollector
 from repro.errors import AnalysisError, DegradedProfileWarning, WorkloadError
-from repro.gpu.kernel import Kernel
-from repro.gpu.runtime import GpuRuntime, KernelLaunchEvent, RuntimeListener
+from repro.gpu.runtime import GpuRuntime
 from repro.gpu.timing import Platform, RTX_2080_TI
 from repro.resilience import FaultInjector, FaultKind, HealthReport
 from repro.tool.config import ToolConfig
 from repro.trace_io import TraceRecorder, TraceReplayer
-from repro.trace_io.codec import decode_kernel
-from repro.trace_io.format import TraceReader
-
-
-class _KernelRoster(RuntimeListener):
-    """Side listener remembering every launched kernel object, so the
-    offline analyzer can reach their line maps and binaries."""
-
-    def __init__(self):
-        self.kernels: Dict[str, Kernel] = {}
-
-    def on_api_end(self, event) -> None:
-        """Remember each launched kernel object by name."""
-        if isinstance(event, KernelLaunchEvent):
-            self.kernels.setdefault(event.kernel.name, event.kernel)
 
 
 class ValueExpert:
@@ -88,12 +72,17 @@ class ValueExpert:
         #: Per-instance telemetry instruments (None = module globals).
         self.obs_registry = registry
         self.obs_tracer = tracer
-        #: Collector of the most recent run (counters, registry).
+        # The three ``last_*`` fields describe the most recent completed
+        # profile call together; each call replaces all of them.
+        #: Collector of the most recent run (counters, registry); None
+        #: after a sharded replay.
         self.last_collector: Optional[DataCollector] = None
-        #: Runtime of the most recent run (modelled times).
+        #: Runtime of the most recent run (modelled times); None after
+        #: a replay.
         self.last_runtime: Optional[GpuRuntime] = None
-        #: Per-shard results of the most recent sharded replay (timings,
-        #: event ranges) — the scaling benchmark reads these.
+        #: Per-shard results of the most recent run if it was a sharded
+        #: replay (timings, event ranges) — the scaling benchmark reads
+        #: these.
         self.last_shard_results: Optional[List[ShardResult]] = None
 
     def _observed(self):
@@ -148,7 +137,71 @@ class ValueExpert:
         until ``repro.obs.reset()``).
         """
         with self._observed():
-            return self._profile(workload, runtime, platform, name, record_path)
+            runtime = runtime or GpuRuntime(platform=platform)
+            plan = self.config.fault_plan
+            health = injector = None
+            if self.config.resilience_active:
+                health = HealthReport()
+                runtime.resilient = True
+                if plan is not None and plan.applies_to_record:
+                    injector = runtime.fault_injector = FaultInjector(plan)
+            workload_name = (
+                name
+                or getattr(workload, "name", "")
+                or _callable_name(workload)
+            )
+            recorder = None
+            if record_path is not None:
+                # "follow" mode: the recorder never votes for
+                # instrumentation, so recording leaves the profiled run
+                # byte-identical.
+                recorder = TraceRecorder(
+                    record_path,
+                    header={
+                        "workload": workload_name,
+                        "platform": runtime.platform.name,
+                    },
+                    instrument="follow",
+                    fault_injector=injector,
+                )
+
+            def drive(_collector) -> None:
+                if recorder is not None:
+                    recorder.attach(runtime)
+                try:
+                    self._run(workload, runtime)
+                finally:
+                    if telemetry.ENABLED:
+                        telemetry.counter(
+                            "repro_tool_profiles_total",
+                            "Profiling runs executed by the ValueExpert "
+                            "facade.",
+                        ).inc()
+                    if recorder is not None:
+                        recorder.detach()
+                        recorder.close()
+                    if injector is not None:
+                        runtime.fault_injector = None
+
+            profile, collector, _ = analyze(
+                self.config,
+                runtime,
+                drive,
+                workload=workload_name,
+                platform=runtime.platform.name,
+                health=health,
+            )
+            if health is not None and recorder is not None and recorder.torn:
+                health.torn_trace = True
+                health.note(
+                    f"trace recording {record_path!r} torn mid-write "
+                    f"(footer never patched)"
+                )
+            self._finish_health(profile, health, injector)
+        self.last_collector, self.last_runtime, self.last_shard_results = (
+            collector, runtime, None
+        )
+        return profile
 
     def profile_from_trace(
         self,
@@ -180,84 +233,60 @@ class ValueExpert:
         are skipped (serial replay only; ``stop=None`` means
         end-of-trace).
         """
-        with self._observed():
-            if shards > 1:
-                if events is not None:
-                    raise AnalysisError(
-                        "events ranges and sharding are mutually exclusive; "
-                        "pass shards=1 for a partial replay"
-                    )
-                return self._profile_from_trace_sharded(
-                    trace_path, name, shards
+        if shards > 1:
+            if events is not None:
+                raise AnalysisError(
+                    "events ranges and sharding are mutually exclusive; "
+                    "pass shards=1 for a partial replay"
                 )
-            return self._profile_from_trace(trace_path, name, events=events)
-
-    def _profile_from_trace(
-        self,
-        trace_path: str,
-        name: str,
-        events: Optional[Tuple[int, Optional[int]]] = None,
-    ) -> ValueProfile:
-        health = HealthReport() if self.config.resilience_active else None
-        injector: Optional[FaultInjector] = None
-        if (
-            self.config.fault_plan is not None
-            and self.config.fault_plan.applies_to_replay
-        ):
-            injector = FaultInjector(self.config.fault_plan)
-        online = OnlineAnalyzer(self.config.patterns)
-        collector = DataCollector(
-            online,
-            coarse=self.config.coarse,
-            fine=self.config.fine,
-            sampling=self.config.sampling,
-            buffer_bytes=self.config.buffer_bytes,
-            copy_policy=self.config.copy_policy,
-            health=health,
-            memory_budget_bytes=self.config.memory_budget_bytes,
-        )
-        roster = _KernelRoster()
-        with TraceReplayer(
-            trace_path,
-            salvage=health is not None,
-            health=health,
-            fault_injector=injector,
-        ) as replayer:
-            workload_name = name or replayer.header.get("workload", "")
-            platform_name = replayer.header.get("platform", "")
-            collector.attach(replayer)
-            replayer.subscribe(roster)
-            replay_span = (
-                telemetry.tracer().begin("tool.replay", workload=workload_name)
-                if telemetry.ENABLED
+            self._check_shardable()
+        with self._observed():
+            health = HealthReport() if self.config.resilience_active else None
+            plan = self.config.fault_plan
+            injector = (
+                FaultInjector(plan)
+                if plan is not None and plan.applies_to_replay
                 else None
             )
-            start, stop = events if events is not None else (0, None)
-            try:
-                replayer.replay(start=start, stop=stop)
-            except Exception as exc:
-                if health is None:
-                    raise
-                health.workload_aborted = True
-                health.abort_reason = f"{type(exc).__name__}: {exc}"
-                health.note(f"replay aborted: {health.abort_reason}")
-            finally:
-                if replay_span is not None:
-                    replay_span.end()
-                replayer.unsubscribe(roster)
-                collector.detach()
-        profile = online.finish(
-            counters=collector.counters,
-            workload=workload_name,
-            platform=platform_name,
+            collector = profile = results = None
+            with TraceReplayer(
+                trace_path,
+                salvage=health is not None,
+                health=health,
+                fault_injector=injector,
+            ) as replayer:
+                workload_name = name or replayer.header.get("workload", "")
+                platform_name = replayer.header.get("platform", "")
+                if shards > 1:
+                    profile, results = self._replay_sharded(
+                        replayer, shards, health
+                    )
+                if profile is None:
+                    start, stop = events or (0, None)
+                    profile, collector, _ = analyze(
+                        self.config,
+                        replayer,
+                        lambda _: replayer.replay(start=start, stop=stop),
+                        workload=workload_name,
+                        platform=platform_name,
+                        health=health,
+                    )
+                else:
+                    profile.workload_name = workload_name
+                    profile.platform_name = platform_name
+                    # Workers resolved their own untyped groups; the parent
+                    # only annotates, using the footer's kernel table for
+                    # line maps (a superset of any run's launched roster).
+                    finish_offline(
+                        self.config,
+                        profile,
+                        kernels=replayer.kernels.values(),
+                        health=health,
+                    )
+            self._finish_health(profile, health, injector)
+        self.last_collector, self.last_runtime, self.last_shard_results = (
+            collector, None, results
         )
-        offline = OfflineAnalyzer(self.config.patterns, health=health)
-        for hit in offline.analyze_untyped(online.pending_untyped):
-            profile.fine_hits.append(hit)
-        offline.annotate(profile, kernels=list(roster.kernels.values()))
-        self._finish_health(profile, health, injector=injector)
-        self.last_collector = collector
-        self.last_runtime = None
         return profile
 
     def _check_shardable(self) -> None:
@@ -278,37 +307,29 @@ class ValueExpert:
                 "worker prefixes; replay serially instead"
             )
 
-    def _profile_from_trace_sharded(
-        self, trace_path: str, name: str, shards: int
-    ) -> ValueProfile:
-        self._check_shardable()
-        health = HealthReport() if self.config.resilience_active else None
-        salvage = health is not None
-        with TraceReader(trace_path, salvage=salvage) as reader:
-            header = reader.header
-            footer = reader.footer
-            # Weigh frames by decoded size: v2 zlib/delta encoding makes
-            # on-disk bytes a poor proxy for replay cost.
-            weighted_index = reader.frame_index(decoded=True)
-            if salvage and reader.truncated:
-                health.torn_trace = True
-                health.trace_salvaged = True
-                health.salvaged_bytes = reader.salvaged_bytes
-                health.salvaged_events = reader.salvaged_events
-                health.note(
-                    f"salvaged {reader.salvaged_events} events "
-                    f"({reader.salvaged_bytes} bytes) from truncated "
-                    f"trace {trace_path!r}"
-                )
+    def _replay_sharded(
+        self,
+        replayer: TraceReplayer,
+        shards: int,
+        health: Optional[HealthReport],
+    ) -> Tuple[Optional[ValueProfile], Optional[List[ShardResult]]]:
+        """Analyze the recording in worker processes and merge them.
+
+        Returns ``(None, None)`` when the recording should be replayed
+        serially instead: it is too small to split, or (resilient runs
+        only) the fan-out failed.
+        """
+        # Weigh frames by decoded size: v2 zlib/delta encoding makes
+        # on-disk bytes a poor proxy for replay cost.
         ranges = plan_shards(
-            [nbytes for _, _, nbytes in weighted_index],
+            [nbytes for _, _, nbytes in replayer.frame_index(decoded=True)],
             shards,
             prefix_cost=PREFIX_COST_RATIO,
         )
         if len(ranges) <= 1:
             # Empty or single-shard-sized trace: the serial path is the
             # sharded path, without the process fan-out.
-            return self._profile_from_trace(trace_path, name)
+            return None, None
         span = (
             telemetry.tracer().begin(
                 "tool.replay_sharded", shards=len(ranges)
@@ -318,7 +339,7 @@ class ValueExpert:
         )
         try:
             results = run_shards_parallel(
-                trace_path, ranges, self.config, salvage=salvage
+                replayer.path, ranges, self.config, salvage=replayer.salvage
             )
         except Exception as exc:
             if span is not None:
@@ -329,18 +350,10 @@ class ValueExpert:
                 f"sharded replay failed ({type(exc).__name__}: {exc}); "
                 f"falling back to serial replay"
             )
-            return self._profile_from_trace(trace_path, name)
+            return None, None
         merge_started = time.perf_counter()
         profile = merge_shard_results(results)
         merge_elapsed = time.perf_counter() - merge_started
-        profile.workload_name = name or header.get("workload", "")
-        profile.platform_name = header.get("platform", "")
-        offline = OfflineAnalyzer(self.config.patterns, health=health)
-        # Workers resolved their own untyped groups; the parent only
-        # annotates, using the footer's kernel table for line maps (a
-        # superset of any run's launched roster).
-        roster = [decode_kernel(data) for data in footer.get("kernels", [])]
-        offline.annotate(profile, kernels=roster)
         if span is not None:
             span.end()
             telemetry.counter(
@@ -359,121 +372,7 @@ class ValueExpert:
                 "repro_tool_shard_critical_path_seconds",
                 "Slowest worker of the most recent sharded replay.",
             ).set(max(result.elapsed_s for result in results))
-        self._finish_health(profile, health, injector=None)
-        self.last_shard_results = results
-        self.last_collector = None
-        self.last_runtime = None
-        return profile
-
-    def _profile(
-        self,
-        workload,
-        runtime: Optional[GpuRuntime],
-        platform: Platform,
-        name: str,
-        record_path: Optional[str] = None,
-    ) -> ValueProfile:
-        runtime = runtime or GpuRuntime(platform=platform)
-        health: Optional[HealthReport] = None
-        injector: Optional[FaultInjector] = None
-        if self.config.resilience_active:
-            health = HealthReport()
-            runtime.resilient = True
-            if (
-                self.config.fault_plan is not None
-                and self.config.fault_plan.applies_to_record
-            ):
-                injector = FaultInjector(self.config.fault_plan)
-                runtime.fault_injector = injector
-        online = OnlineAnalyzer(self.config.patterns)
-        collector = DataCollector(
-            online,
-            coarse=self.config.coarse,
-            fine=self.config.fine,
-            sampling=self.config.sampling,
-            buffer_bytes=self.config.buffer_bytes,
-            copy_policy=self.config.copy_policy,
-            health=health,
-            memory_budget_bytes=self.config.memory_budget_bytes,
-        )
-        workload_name = (
-            name or getattr(workload, "name", "") or _callable_name(workload)
-        )
-        roster = _KernelRoster()
-        recorder = None
-        if record_path is not None:
-            # "follow" mode: the recorder never votes for instrumentation,
-            # so recording leaves the profiled run byte-identical.
-            recorder = TraceRecorder(
-                record_path,
-                header={
-                    "workload": workload_name,
-                    "platform": runtime.platform.name,
-                },
-                instrument="follow",
-                fault_injector=injector,
-            )
-        collector.attach(runtime)
-        runtime.subscribe(roster)
-        if recorder is not None:
-            recorder.attach(runtime)
-        run_span = (
-            telemetry.tracer().begin("tool.profile", workload=workload_name)
-            if telemetry.ENABLED
-            else None
-        )
-        try:
-            self._run(workload, runtime)
-        except Exception as exc:
-            if health is None:
-                raise
-            # Resilient mode: the workload died (its own bug, a genuine
-            # OOM, or an injected fault that escaped to workload code);
-            # the profile covers the prefix that executed.
-            health.workload_aborted = True
-            health.abort_reason = f"{type(exc).__name__}: {exc}"
-            health.note(f"workload aborted: {health.abort_reason}")
-        finally:
-            if run_span is not None:
-                run_span.end()
-                telemetry.counter(
-                    "repro_tool_profiles_total",
-                    "Profiling runs executed by the ValueExpert facade.",
-                ).inc()
-            if recorder is not None:
-                recorder.detach()
-                recorder.close()
-            runtime.unsubscribe(roster)
-            collector.detach()
-            if injector is not None:
-                runtime.fault_injector = None
-
-        profile = online.finish(
-            counters=collector.counters,
-            workload=workload_name,
-            platform=runtime.platform.name,
-        )
-        offline_span = (
-            telemetry.tracer().begin("tool.offline", workload=workload_name)
-            if telemetry.ENABLED
-            else None
-        )
-        offline = OfflineAnalyzer(self.config.patterns, health=health)
-        for hit in offline.analyze_untyped(online.pending_untyped):
-            profile.fine_hits.append(hit)
-        offline.annotate(profile, kernels=list(roster.kernels.values()))
-        if offline_span is not None:
-            offline_span.end()
-        if health is not None and recorder is not None and recorder.torn:
-            health.torn_trace = True
-            health.note(
-                f"trace recording {record_path!r} torn mid-write "
-                f"(footer never patched)"
-            )
-        self._finish_health(profile, health, injector)
-        self.last_collector = collector
-        self.last_runtime = runtime
-        return profile
+        return profile, results
 
     @staticmethod
     def _finish_health(

@@ -172,6 +172,10 @@ class TraceReplayer:
         """
         return self._reader.events()
 
+    def frame_index(self, decoded: bool = False) -> List[Tuple[int, int, int]]:
+        """The recording's frame index (:meth:`TraceReader.frame_index`)."""
+        return self._reader.frame_index(decoded=decoded)
+
     def apply_event(self, kind: int, meta: dict, arrays: dict) -> None:
         """Apply one decoded frame: update state, emit to listeners."""
         self._replay_one(kind, meta, arrays)

@@ -13,7 +13,7 @@ kernel-level add/remove.
 
 A committed baseline (:mod:`~repro.tracediff.baseline`,
 ``benchmarks/out/tracediff_baseline.json``) names the deltas a project
-has accepted; CI runs ``python -m repro.tool trace-diff OLD NEW
+has accepted; CI runs ``python -m repro trace-diff OLD NEW
 --baseline FILE`` and fails on any un-baselined regression, the same
 way it already diffs ``staticlint_baseline.txt``.  See
 ``docs/trace-diff.md``.

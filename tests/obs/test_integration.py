@@ -9,9 +9,11 @@ self-spans; with telemetry disabled, nothing may be recorded.
 import json
 
 import numpy as np
+import pytest
 
 import repro.obs as telemetry
 from repro import ToolConfig, ValueExpert
+from repro.obs import MetricsRegistry, SpanTracer
 from repro.gpu.dtypes import DType
 from repro.gpu.runtime import GpuRuntime, HostArray
 from tests.conftest import fill_constant_kernel
@@ -77,3 +79,21 @@ def test_observability_flag_restored_after_profile():
     assert not telemetry.ENABLED
     # The recorded data remains inspectable after the run.
     assert telemetry.registry().names()
+
+
+@pytest.mark.parametrize("path", ["live", "replay", "sharded"])
+def test_every_profile_path_records_a_tool_offline_span(tmp_path, path):
+    trace = str(tmp_path / "obs.vetrace")
+    ValueExpert(ToolConfig()).profile(_workload, record_path=trace)
+    tracer = SpanTracer()
+    tool = ValueExpert(
+        ToolConfig(observability=True), registry=MetricsRegistry(), tracer=tracer
+    )
+    if path == "live":
+        tool.profile(_workload, name="obs-integration")
+    else:
+        tool.profile_from_trace(trace, shards=2 if path == "sharded" else 1)
+    assert (tool.last_shard_results is not None) == (path == "sharded")
+    assert tracer.by_name("tool.offline")
+    assert tracer.by_name("offline.annotate")
+    assert tracer.open_spans == 0

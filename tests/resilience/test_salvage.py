@@ -68,3 +68,21 @@ def test_intact_trace_replays_identically_under_salvage(tmp_path, workload):
     resilient = ValueExpert(ToolConfig(resilient=True)).profile_from_trace(path)
     assert resilient.health.pristine
     assert resilient.to_json() == plain.to_json()
+
+
+def test_sharded_salvage_reports_like_serial_salvage(torn_trace):
+    """A truncated recording replayed over shards reports the same
+    salvage as a serial replay of it."""
+    with pytest.warns(DegradedProfileWarning):
+        serial = ValueExpert(ToolConfig(resilient=True)).profile_from_trace(
+            torn_trace
+        )
+    tool = ValueExpert(ToolConfig(resilient=True))
+    with pytest.warns(DegradedProfileWarning):
+        sharded = tool.profile_from_trace(torn_trace, shards=2)
+    assert len(tool.last_shard_results) == 2
+    for field in (
+        "torn_trace", "trace_salvaged", "salvaged_events", "salvaged_bytes"
+    ):
+        assert getattr(sharded.health, field) == getattr(serial.health, field)
+    assert sharded.health.salvaged_events == 5

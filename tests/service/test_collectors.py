@@ -1,77 +1,9 @@
-"""Collector plug-in discovery: the Omnistat-style drop-in contract."""
+"""The scrape endpoint's collector list."""
 
-import textwrap
-
-import pytest
-
-from repro.errors import ServiceError
-from repro.service.collectors import BUILTIN_DIR, load_collectors
+from repro.service.collectors import COLLECTORS
 
 
 def test_builtins_are_discovered():
-    names = [plugin.name for plugin in load_collectors()]
-    assert "service" in names
-    assert "jobs" in names
-    assert "resilience" in names
-    assert all(plugin.path.startswith(BUILTIN_DIR) for plugin in load_collectors())
-
-
-def test_third_party_drop_in(tmp_path):
-    # The satellite contract: a file dropped into a directory shows up,
-    # no core changes.
-    (tmp_path / "collector_gpuboard.py").write_text(
-        textwrap.dedent(
-            """
-            def collect(service, registry):
-                registry.gauge("gpuboard_up", "is the board up").set(1)
-            """
-        )
-    )
-    plugins = load_collectors(extra_dirs=(str(tmp_path),))
-    names = [plugin.name for plugin in plugins]
-    assert names[-1] == "gpuboard"
-    assert "service" in names  # built-ins still present
-
-
-def test_collector_name_override(tmp_path):
-    (tmp_path / "collector_x.py").write_text(
-        "COLLECTOR = 'fancy'\n"
-        "def collect(service, registry):\n"
-        "    pass\n"
-    )
-    plugins = load_collectors(extra_dirs=(str(tmp_path),), include_builtin=False)
-    assert [plugin.name for plugin in plugins] == ["fancy"]
-
-
-def test_same_name_replaces_builtin(tmp_path):
-    (tmp_path / "collector_service.py").write_text(
-        "def collect(service, registry):\n"
-        "    registry.gauge('repro_shadowed').set(1)\n"
-    )
-    plugins = load_collectors(extra_dirs=(str(tmp_path),))
-    matches = [plugin for plugin in plugins if plugin.name == "service"]
-    assert len(matches) == 1
-    assert matches[0].path.startswith(str(tmp_path))
-
-
-def test_non_collector_files_ignored(tmp_path):
-    (tmp_path / "helpers.py").write_text("raise RuntimeError('never imported')\n")
-    plugins = load_collectors(extra_dirs=(str(tmp_path),), include_builtin=False)
-    assert plugins == []
-
-
-def test_missing_directory_is_loud():
-    with pytest.raises(ServiceError, match="does not exist"):
-        load_collectors(extra_dirs=("/nonexistent/collectors",))
-
-
-def test_broken_plugin_fails_at_load(tmp_path):
-    (tmp_path / "collector_bad.py").write_text("1 / 0\n")
-    with pytest.raises(ServiceError, match="failed to load"):
-        load_collectors(extra_dirs=(str(tmp_path),))
-
-
-def test_plugin_without_collect_rejected(tmp_path):
-    (tmp_path / "collector_empty.py").write_text("VALUE = 1\n")
-    with pytest.raises(ServiceError, match="no collect"):
-        load_collectors(extra_dirs=(str(tmp_path),))
+    names = [name for name, _ in COLLECTORS]
+    assert names == ["jobs", "resilience", "service"]
+    assert all(callable(collect) for _, collect in COLLECTORS)

@@ -13,7 +13,9 @@ import pytest
 from repro.errors import ServiceError
 from repro.gpu.timing import RTX_2080_TI
 from repro.resilience import FaultPlan
+import repro.service.service as service_module
 from repro.service import JobSpec, JobState, ProfilingService, ServiceConfig
+from repro.service.collectors import COLLECTORS
 from repro.service.worker import CRASH_ENV
 from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
@@ -184,26 +186,25 @@ def test_submit_rejected_after_shutdown(service_factory):
         service.submit(JobSpec(workload="rodinia/bfs"))
 
 
-def test_third_party_collector_reaches_scrape(service_factory, tmp_path):
-    plugin_dir = tmp_path / "plugins"
-    plugin_dir.mkdir()
-    (plugin_dir / "collector_site.py").write_text(
-        "def collect(service, registry):\n"
-        "    registry.gauge('site_rack_temp_celsius', 'rack temp')"
-        ".set(21.5)\n"
+def test_third_party_collector_reaches_scrape(service_factory, monkeypatch):
+    def site(service, registry):
+        registry.gauge("site_rack_temp_celsius", "rack temp").set(21.5)
+
+    monkeypatch.setattr(
+        service_module, "COLLECTORS", COLLECTORS + (("site", site),)
     )
-    service = service_factory(collector_dirs=(str(plugin_dir),))
+    service = service_factory()
     assert "site_rack_temp_celsius 21.5" in service.scrape()
 
 
-def test_collector_failure_is_isolated(service_factory, tmp_path):
-    plugin_dir = tmp_path / "plugins"
-    plugin_dir.mkdir()
-    (plugin_dir / "collector_flaky.py").write_text(
-        "def collect(service, registry):\n"
-        "    raise RuntimeError('scrape-time explosion')\n"
+def test_collector_failure_is_isolated(service_factory, monkeypatch):
+    def flaky(service, registry):
+        raise RuntimeError("scrape-time explosion")
+
+    monkeypatch.setattr(
+        service_module, "COLLECTORS", COLLECTORS + (("flaky", flaky),)
     )
-    service = service_factory(collector_dirs=(str(plugin_dir),))
+    service = service_factory()
     text = service.scrape()
     # The built-ins still produced output and the failure is counted.
     assert "repro_service_uptime_seconds" in text

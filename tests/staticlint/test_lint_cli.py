@@ -1,10 +1,10 @@
-"""End-to-end workload linting and the ``repro.tool lint`` CLI."""
+"""End-to-end workload linting and the ``repro lint`` CLI."""
 
 import json
 
 import pytest
 
-import repro.tool.__main__ as tool_cli
+import repro.cli as tool_cli
 from repro.staticlint import Finding, LintResult, Severity, lint_kernel, lint_workload
 from repro.errors import BinaryAnalysisError
 from repro.workloads.rodinia.bfs import bfs_kernel, bfs_kernel2

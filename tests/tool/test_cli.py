@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_list_command(capsys):
@@ -135,3 +143,52 @@ def test_record_default_output_name(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["record", "rodinia/bfs", "--scale", "0.125"]) == 0
     assert (tmp_path / "rodinia_bfs.vetrace").exists()
+
+
+#: ``--scale`` defaults that differ from 0.5.
+SCALE_DEFAULTS = {"lint": 0.25, "speedup": 1.0}
+
+
+def _documented_command_lines():
+    """Every ``python -m repro[.tool]`` command line in CI and the docs'
+    code blocks, shell syntax stripped and variables set to 0."""
+    texts = [(ROOT / ".github/workflows/ci.yml").read_text()]
+    for doc in sorted((ROOT / "docs").glob("*.md")):
+        texts += re.findall(r"```[a-z]*\n(.*?)```", doc.read_text(), re.S)
+    lines = []
+    for text in texts:
+        text = text.replace("\\\n", " ")
+        for match in re.finditer(r"python -m repro(?:\.tool)? (.*)", text):
+            line = re.split(r";|\s#|&&|\|", match.group(1))[0]
+            line = re.sub(r"\$\{?\w+\}?", "0", line)
+            lines.append(" ".join(line.split()))
+    return lines
+
+
+COMMAND_LINES = _documented_command_lines()
+
+
+def test_documented_command_lines_were_found():
+    commands = {shlex.split(line)[0] for line in COMMAND_LINES}
+    assert {"record", "replay", "trace-diff", "lint", "health"} <= commands
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES)
+def test_documented_command_line_parses(line):
+    argv = shlex.split(line)
+    args = build_parser().parse_args(argv)
+    if "scale" in vars(args) and "--scale" not in argv:
+        assert args.scale == SCALE_DEFAULTS.get(args.command, 0.5)
+
+
+def test_both_entry_points_print_the_same_list():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "list"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for module in ("repro", "repro.tool")
+    ]
+    assert outputs[0] == outputs[1]
+    assert "rodinia/bfs" in outputs[0]

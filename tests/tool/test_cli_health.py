@@ -1,13 +1,13 @@
 """CLI coverage for the resilience surface: the ``health`` subcommand
-and the one-line-error-or-debug-traceback hygiene of both CLIs."""
+and the one-line-error-or-debug-traceback hygiene of the CLI."""
 
 import json
 
 import pytest
 
+import repro.cli as tool_cli
 from repro.cli import main as repro_main
 from repro.errors import AnalysisError, TraceError
-from repro.tool import __main__ as tool_cli
 
 
 def test_health_subcommand_clean_run(capsys):
@@ -60,7 +60,7 @@ def test_tool_cli_one_line_error_on_repro_error(capsys, monkeypatch):
     code = tool_cli.main(["health", "rodinia/bfs"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == "repro.tool: error: synthetic failure\n"
+    assert captured.err == "repro: error: synthetic failure\n"
 
 
 def test_tool_cli_debug_reraises(monkeypatch):

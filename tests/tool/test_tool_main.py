@@ -1,11 +1,11 @@
-"""Tests for the ``python -m repro.tool`` self-telemetry CLI."""
+"""Tests for the self-telemetry commands of the CLI (``stats``, ``trace``)."""
 
 import json
 
 import pytest
 
 import repro.obs as telemetry
-from repro.tool.__main__ import main
+from repro.cli import main
 
 
 @pytest.fixture(autouse=True)

@@ -103,3 +103,35 @@ def test_two_profiles_are_independent():
     assert first is not second
     assert first.graph is not second.graph
     assert len(first.hits) == len(second.hits)
+
+
+def test_reused_tool_replaces_all_last_run_fields(tmp_path):
+    """Every call sets last_collector, last_runtime and
+    last_shard_results together; nothing leaks from an earlier run."""
+    path = str(tmp_path / "toy.vetrace")
+    tiny = str(tmp_path / "tiny.vetrace")
+    tool = ValueExpert()
+    tool.profile(_toy_workload, record_path=path)
+    tool.profile(lambda rt: rt.malloc(16, DType.FLOAT32, "x"), record_path=tiny)
+
+    def sharded():
+        tool.profile_from_trace(path, shards=2)
+        assert len(tool.last_shard_results) == 2
+        assert tool.last_collector is None and tool.last_runtime is None
+
+    sharded()
+    tool.profile_from_trace(path)
+    assert tool.last_shard_results is None
+    assert tool.last_collector is not None and tool.last_runtime is None
+
+    sharded()
+    tool.profile(_toy_workload)
+    assert tool.last_shard_results is None
+    assert tool.last_collector is not None and tool.last_runtime is not None
+
+    # A one-event recording cannot split: the sharded call replays
+    # serially and reports no shards.
+    sharded()
+    tool.profile_from_trace(tiny, shards=2)
+    assert tool.last_shard_results is None
+    assert tool.last_collector is not None

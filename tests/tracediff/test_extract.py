@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.tool.__main__ import main as tool_main
 from repro.tracediff import diff_traces, extract_summary
 
 
@@ -47,7 +46,7 @@ def test_self_diff_is_clean(bfs_trace):
 
 def test_cli_self_diff_exits_zero(bfs_trace, tmp_path, capsys):
     report = str(tmp_path / "diff.json")
-    code = tool_main(
+    code = cli_main(
         ["trace-diff", bfs_trace, bfs_trace, "--json", report]
     )
     out = capsys.readouterr().out
@@ -60,13 +59,13 @@ def test_cli_self_diff_exits_zero(bfs_trace, tmp_path, capsys):
 
 
 def test_cli_write_baseline_requires_baseline_path(bfs_trace, capsys):
-    code = tool_main(["trace-diff", bfs_trace, bfs_trace, "--write-baseline"])
+    code = cli_main(["trace-diff", bfs_trace, bfs_trace, "--write-baseline"])
     assert code == 2
     assert "--write-baseline requires --baseline" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_fail_on(bfs_trace, capsys):
-    code = tool_main(
+    code = cli_main(
         ["trace-diff", bfs_trace, bfs_trace, "--fail-on", "bogus"]
     )
     assert code != 0
@@ -75,7 +74,7 @@ def test_cli_rejects_unknown_fail_on(bfs_trace, capsys):
 
 def test_cli_write_and_reuse_baseline(bfs_trace, tmp_path, capsys):
     baseline = str(tmp_path / "baseline.json")
-    code = tool_main(
+    code = cli_main(
         [
             "trace-diff",
             bfs_trace,
@@ -93,6 +92,6 @@ def test_cli_write_and_reuse_baseline(bfs_trace, tmp_path, capsys):
     assert payload["accepted"] == []
     capsys.readouterr()
     # Applying the (empty) baseline to the clean pair still exits 0.
-    assert tool_main(
+    assert cli_main(
         ["trace-diff", bfs_trace, bfs_trace, "--baseline", baseline]
     ) == 0
