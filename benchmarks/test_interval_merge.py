@@ -11,8 +11,13 @@ import numpy as np
 import pytest
 from conftest import emit
 
-from repro.intervals.compaction import compaction_ratio, warp_compact
-from repro.intervals.parallel import merge_parallel
+from repro.intervals.compaction import (
+    compaction_ratio,
+    warp_compact,
+    warp_compact_kinds,
+)
+from repro.intervals.interval import KIND_LOAD, KIND_STORE
+from repro.intervals.parallel import merge_parallel, merge_parallel_kinds
 from repro.intervals.sequential import merge_sequential
 
 
@@ -53,6 +58,38 @@ def test_warp_compaction_throughput(benchmark):
     compacted = benchmark(warp_compact, coalesced)
     # Fully coalesced warps collapse 32 accesses into 1 interval.
     assert compaction_ratio(coalesced.shape[0], compacted.shape[0]) == 32.0
+
+
+def _bfs_like_intervals(count: int, seed: int = 1) -> np.ndarray:
+    """Scattered 4-byte gathers over a wide range: rows arrive unordered."""
+    rng = np.random.default_rng(seed)
+    starts = (rng.integers(0, count * 8, count) * 4).astype(np.uint64)
+    return np.stack([starts, starts + 4], axis=1)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [INTERVALS, _bfs_like_intervals(200_000)],
+    ids=["streamcluster_like", "bfs_like"],
+)
+def test_kinded_hot_path_matches_figure4_merge(benchmark, stream):
+    """The collector's kernels agree with the Figure 4 oracle.
+
+    Records of 32 loads and 16 stores: every other warp mixes kinds.
+    """
+    kinds = np.where(
+        np.arange(stream.shape[0]) % 48 < 32, KIND_LOAD, KIND_STORE
+    ).astype(np.uint8)
+
+    def hot_path():
+        return merge_parallel_kinds(*warp_compact_kinds(stream, kinds))
+
+    merged = benchmark(hot_path)
+    assert np.array_equal(merged.combined, merge_parallel(stream))
+    assert np.array_equal(merged.reads, merge_parallel(stream[kinds == KIND_LOAD]))
+    assert np.array_equal(
+        merged.writes, merge_parallel(stream[kinds == KIND_STORE])
+    )
 
 
 def test_merge_after_compaction_is_cheaper(benchmark):

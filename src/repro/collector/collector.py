@@ -12,9 +12,9 @@ Per kernel launch, the measurement pipeline follows Section 6.1, as a
 1. access records are deposited into the bounded profiling buffer
    (flush count feeds the overhead model);
 2. their byte intervals are tagged LOAD/STORE once, warp-compacted
-   once (kind-preserving), and merged with one Figure 4 endpoint sweep
-   that yields the combined, read-only, and write-only coverages
-   together;
+   once (kind-preserving), and merged with one start sort and three
+   running-max sweeps that yield the combined, read-only, and
+   write-only coverages together;
 3. all three coverages are routed to data objects in one batched
    binder sweep over the registry's cached address index;
 4. each written object's snapshot is refreshed through an adaptive
@@ -626,8 +626,8 @@ class DataCollector(RuntimeListener):
         self.counters.buffer_flushes = self.buffer.flushes
 
         # Interval pipeline, one pass: kind-tagged raw intervals ->
-        # kind-preserving warp compaction -> one endpoint sweep that
-        # merges the combined/read/write coverages together.
+        # kind-preserving warp compaction -> one start sort whose
+        # running-max sweeps merge the combined/read/write coverages.
         sweep_span = (
             telemetry.tracer().begin("collector.sweep", records=len(records))
             if telemetry.ENABLED

@@ -65,10 +65,14 @@ def warp_compact_kinds(
     (Hardware compaction has the same property for free: it operates on
     the 32 lanes of one memory instruction, which share a kind.)
 
-    Returns the compacted ``(m, 2)`` array and its parallel flags.
-    The whole pass is vectorized across chunks — one padded 2-D sort
-    and one flattened run-reduction, no Python loop over the stream —
-    part of the hot-path rework this module's callers rely on.
+    Returns the compacted ``(m, 2)`` array (column-major, so its starts
+    and ends are each contiguous) and its parallel flags.  The pass is
+    vectorized across chunks, with no Python loop over the stream.
+    Chunks are rows of a 2-D layout; only the rows not already in
+    (kind, start) order are sorted, and one row running maximum of the
+    ends finds the runs, redone per kind only in rows that mix kinds.
+    Real streams are mostly ordered single-kind rows (one coalesced
+    instruction per warp), so both extra steps are rare.
     """
     arr = as_interval_array(intervals)
     kinds = np.asarray(kinds, dtype=np.uint8)
@@ -80,65 +84,94 @@ def warp_compact_kinds(
     if n == 0:
         return arr, kinds
 
-    # Lay the stream out as (nchunks, warp_size) rows so every chunk is
-    # processed at once.  Padding lanes get kind 255 and a maximal start
-    # so the row sort pushes them past every real lane, and end 0 so
-    # they never extend a run's maximum.
-    nchunks = -(-n // warp_size)
-    padded = nchunks * warp_size
-    starts = np.full(padded, np.iinfo(np.uint64).max, dtype=np.uint64)
-    ends = np.zeros(padded, dtype=np.uint64)
-    kvals = np.full(padded, 255, dtype=np.uint8)
-    starts[:n] = arr[:, 0]
-    ends[:n] = arr[:, 1]
-    kvals[:n] = kinds
-    starts = starts.reshape(nchunks, warp_size)
-    ends = ends.reshape(nchunks, warp_size)
-    kvals = kvals.reshape(nchunks, warp_size)
+    # Lay the stream out as (nrows, warp_size) rows so every chunk is
+    # processed at once.  A partial last row is padded with copies of
+    # the final lane: a copy sorts next to its original, never starts
+    # a run and never raises a run's end, so the output is unchanged.
+    nrows = -(-n // warp_size)
+    size = nrows * warp_size
+    s = np.empty(size, dtype=np.uint64)
+    e = np.empty_like(s)
+    k = np.empty(size, dtype=np.uint8)
+    s[:n] = arr[:, 0]
+    e[:n] = arr[:, 1]
+    k[:n] = kinds
+    s[n:], e[n:], k[n:] = arr[-1, 0], arr[-1, 1], kinds[-1]
+    rows_s = s.reshape(nrows, warp_size)
+    rows_e = e.reshape(nrows, warp_size)
+    rows_k = k.reshape(nrows, warp_size)
 
-    # Per-row lexicographic (kind, start) order via two stable argsorts:
-    # sort each row by start, then stably by kind, matching the scalar
-    # path's start-sorted, per-ascending-kind sub-streams.
-    by_start = np.argsort(starts, axis=1, kind="stable")
-    order = np.take_along_axis(
-        by_start,
-        np.argsort(
-            np.take_along_axis(kvals, by_start, axis=1), axis=1, kind="stable"
-        ),
-        axis=1,
+    # Find the rows out of (kind, start) order and the rows that mix
+    # kinds from the lane pairs (i, i + 1) of one row where the start
+    # descends or the kind changes.
+    kind_change = k[1:] != k[:-1]
+    suspect = kind_change | (s[1:] < s[:-1])
+    suspect[warp_size - 1 :: warp_size] = False
+    pairs = np.flatnonzero(suspect)
+    changes = kind_change[pairs]
+    descending = (k[pairs + 1] < k[pairs]) | (
+        ~changes & (s[pairs + 1] < s[pairs])
     )
-    s = np.take_along_axis(starts, order, axis=1)
-    e = np.take_along_axis(ends, order, axis=1)
-    k = np.take_along_axis(kvals, order, axis=1)
+    unordered = _rows_of(pairs[descending] // warp_size, nrows)
+    mixed = _rows_of(pairs[changes] // warp_size, nrows)
 
-    # A new run begins at each (row, kind) segment head, and wherever a
-    # start exceeds the running maximum end of its segment so far.  The
-    # running maximum is a row cummax masked to one kind at a time;
-    # lanes of other kinds contribute 0, and each kind's lanes are
-    # contiguous after the sort, so no reset logic is needed.
-    prev_kind = np.full_like(k, 255)
-    prev_kind[:, 1:] = k[:, :-1]
-    breaks = np.zeros(k.shape, dtype=bool)
-    for flag in np.unique(kinds):
-        mask = k == flag
-        run_end = np.maximum.accumulate(np.where(mask, e, 0), axis=1)
-        prev_end = np.zeros_like(run_end)
-        prev_end[:, 1:] = run_end[:, :-1]
-        breaks |= mask & ((prev_kind != flag) | (s > prev_end))
+    # Sort the unordered rows into (kind, start) order, matching the
+    # scalar path's start-sorted, per-ascending-kind sub-streams.  The
+    # order among equal (kind, start) lanes cannot change a run, and
+    # while no row mixes kinds, start order is that order.
+    if unordered.size:
+        rs, re = rows_s[unordered], rows_e[unordered]
+        if mixed.size:
+            rk = rows_k[unordered]
+            order = np.lexsort((rs, rk), axis=1)
+            rows_k[unordered] = np.take_along_axis(rk, order, axis=1)
+        else:
+            order = np.argsort(rs, axis=1)
+        rows_s[unordered] = np.take_along_axis(rs, order, axis=1)
+        rows_e[unordered] = np.take_along_axis(re, order, axis=1)
+
+    # A run ends where the next start exceeds the running maximum end
+    # of its (row, kind) segment.  One row running maximum serves every
+    # single-kind row.  Rows that mix kinds redo it masked to one kind
+    # at a time (each kind's lanes are contiguous after the sort, and
+    # lanes of other kinds contribute 0), and also break at each kind
+    # change.
+    reach = np.maximum.accumulate(rows_e, axis=1)
+    breaks = np.empty(size, dtype=bool)
+    breaks[1:] = s[1:] > reach.ravel()[:-1]
+    rows_breaks = breaks.reshape(nrows, warp_size)
+    rows_breaks[:, 0] = True
+    if mixed.size:
+        me, mk = rows_e[mixed], rows_k[mixed]
+        mixed_reach = np.zeros_like(me)
+        for flag in np.unique(mk):
+            mask = mk == flag
+            kind_reach = np.maximum.accumulate(np.where(mask, me, 0), axis=1)
+            mixed_reach[mask] = kind_reach[mask]
+        reach[mixed] = mixed_reach
+        rows_breaks[mixed, 1:] = (mk[:, 1:] != mk[:, :-1]) | (
+            rows_s[mixed, 1:] > mixed_reach[:, :-1]
+        )
 
     # Flattened row-major, head order is exactly the scalar output
-    # order: per chunk, per ascending kind, runs by start.  reduceat
-    # segments may swallow a row's trailing padding (end 0, harmless);
-    # they never cross into the next row's lanes because each row's
-    # first real lane is always a head.
-    heads = np.flatnonzero(breaks.ravel())
-    flat_ends = e.ravel()
-    return (
-        np.stack(
-            [s.ravel()[heads], np.maximum.reduceat(flat_ends, heads)], axis=1
-        ).astype(np.uint64),
-        k.ravel()[heads],
-    )
+    # order: per chunk, per ascending kind, runs by start.  Each row's
+    # first lane is a head, so a run's last lane (the lane before the
+    # next head) is in its own row, and ``reach`` there is its end.
+    heads = np.flatnonzero(breaks)
+    last = np.empty_like(heads)
+    last[:-1] = heads[1:] - 1
+    last[-1] = size - 1
+    out = np.empty((2, heads.size), dtype=np.uint64)
+    np.take(s, heads, out=out[0])
+    np.take(reach.ravel(), last, out=out[1])
+    return out.T, k[heads]
+
+
+def _rows_of(lane_rows: np.ndarray, nrows: int) -> np.ndarray:
+    """The distinct row indices in ``lane_rows``, ascending."""
+    present = np.zeros(nrows, dtype=bool)
+    present[lane_rows] = True
+    return np.flatnonzero(present)
 
 
 def compaction_ratio(raw_count: int, compacted_count: int) -> float:

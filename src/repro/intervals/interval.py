@@ -87,20 +87,28 @@ def intervals_from_accesses_kinds(
     This is the entry point of the kind-aware single-pass pipeline: the
     launch's records are walked once, and downstream stages derive the
     combined, read-only, and write-only coverage from the tagged stream
-    instead of re-filtering and re-merging per access kind.
+    instead of re-filtering and re-merging per access kind.  Each
+    record's intervals are its addresses plus its item size, so the
+    array is one concatenation of the addresses and one add.  It is
+    column-major: the starts and the ends are each contiguous, which is
+    how :func:`~repro.intervals.compaction.warp_compact_kinds` reads
+    them.
     """
-    parts: List[np.ndarray] = []
-    kind_parts: List[np.ndarray] = []
-    for record in records:
-        if not record.count:
-            continue
-        part = record.intervals()
-        flag = KIND_STORE if record.kind.value == "store" else KIND_LOAD
-        parts.append(part)
-        kind_parts.append(np.full(part.shape[0], flag, dtype=np.uint8))
-    if not parts:
+    records = [record for record in records if record.count]
+    if not records:
         return np.empty((0, 2), dtype=np.uint64), np.empty(0, dtype=np.uint8)
-    return np.concatenate(parts, axis=0), np.concatenate(kind_parts)
+    counts = [record.count for record in records]
+    starts, ends = out = np.empty((2, sum(counts)), dtype=np.uint64)
+    np.concatenate(
+        [record.addresses for record in records], out=starts, casting="unsafe"
+    )
+    itemsizes = np.array([record.itemsize for record in records], np.uint64)
+    np.add(starts, np.repeat(itemsizes, counts), out=ends)
+    flags = [
+        KIND_STORE if record.kind.value == "store" else KIND_LOAD
+        for record in records
+    ]
+    return out.T, np.repeat(np.array(flags, dtype=np.uint8), counts)
 
 
 def merge_reference(intervals: Iterable) -> List[Interval]:

@@ -20,6 +20,11 @@ primitives as the stand-in for GPU-wide parallel sort / prefix scan:
 Every step is a data-parallel primitive (sort, map, scan, scatter), so
 the GPU implementation in the paper runs in O(log N) depth with radix
 sort; the numpy version preserves the structure and the results.
+
+:func:`merge_parallel` is kept step-for-step as the reference.  The
+collector's hot path, :func:`merge_parallel_kinds`, reaches the same
+coverages from one sort of the interval starts and running maxima over
+the ends.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ def merge_parallel(intervals: Iterable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KindedMerge:
-    """The three merged coverages derived from one endpoint sweep."""
+    """The three merged coverages derived from one start sort."""
 
     combined: np.ndarray
     reads: np.ndarray
@@ -93,15 +98,39 @@ def _empty_intervals() -> np.ndarray:
     return np.empty((0, 2), dtype=np.uint64)
 
 
-def merge_parallel_kinds(intervals: Iterable, kinds: np.ndarray) -> KindedMerge:
-    """Single-sweep kind-aware merge (the collector's hot path).
+def _coverage_runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Maximal covered runs of intervals already sorted by start.
 
-    One lexicographic endpoint sort — the expensive step of the Figure 4
-    algorithm — is shared by three prefix scans whose markers are masked
-    by the interval kind flags.  The results are bit-identical to running
-    :func:`merge_parallel` three times on the full stream, the LOAD-only
-    subset, and the STORE-only subset, but the sort runs once instead of
-    three times and the stream is traversed once.
+    A run breaks where a start exceeds the running maximum of every
+    earlier end; touching intervals (start == that maximum) merge.  The
+    run's end is the running maximum at its last interval.
+    """
+    if starts.size == 0:
+        return _empty_intervals()
+    reach = np.maximum.accumulate(ends)
+    heads = np.flatnonzero(starts[1:] > reach[:-1]) + 1
+    out = np.empty((heads.size + 1, 2), dtype=np.uint64)
+    out[0, 0] = starts[0]
+    out[1:, 0] = starts[heads]
+    out[:-1, 1] = reach[heads - 1]
+    out[-1, 1] = reach[-1]
+    return out
+
+
+def merge_parallel_kinds(intervals: Iterable, kinds: np.ndarray) -> KindedMerge:
+    """Kind-aware merge (the collector's hot path): one start sort,
+    three running-max sweeps.
+
+    The interval starts are sorted once (not at all when they already
+    ascend, as after compacting a sequential sweep).  The combined,
+    read and write coverages each come from one running maximum over
+    the ends, taken on the start-sorted stream or on its LOAD / STORE
+    subset (a boolean subset keeps the sort order).  Ties between equal
+    starts cannot change a coverage, so any sort kind works.  The
+    results are bit-identical to running :func:`merge_parallel` (the
+    step-for-step Figure 4 merge) on the full stream, the LOAD-only
+    subset and the STORE-only subset, without its 2n-endpoint
+    lexicographic sort.
 
     ``kinds`` is a ``uint8`` vector parallel to ``intervals`` holding
     :data:`~repro.intervals.interval.KIND_LOAD` /
@@ -119,35 +148,17 @@ def merge_parallel_kinds(intervals: Iterable, kinds: np.ndarray) -> KindedMerge:
             _empty_intervals(), _empty_intervals(), _empty_intervals()
         )
 
-    # One endpoint sort, as in Figure 4 steps 1-2 (starts sort before
-    # ends at equal addresses so touching intervals merge).
-    addresses = np.concatenate([arr[:, 0], arr[:, 1]])
-    is_end = np.concatenate(
-        [np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)]
-    )
-    signs = np.concatenate(
-        [np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)]
-    )
-    flags = np.concatenate([kinds, kinds])
-    order = np.lexsort((is_end, addresses))
-    addresses = addresses[order]
-    signs = signs[order]
-    flags = flags[order]
+    starts, ends, flags = arr[:, 0], arr[:, 1], kinds
+    if np.any(starts[1:] < starts[:-1]):
+        order = np.argsort(starts)
+        starts, ends, flags = starts[order], ends[order], flags[order]
 
-    def coverage_runs(markers: np.ndarray) -> np.ndarray:
-        """Maximal covered runs of a +1/-1/0 marker stream (steps 3-9)."""
-        scanned = np.cumsum(markers)
-        entered = scanned - markers
-        start_mask = (entered == 0) & (scanned > 0)
-        end_mask = (scanned == 0) & (entered > 0)
-        starts = addresses[start_mask]
-        ends = addresses[end_mask]
-        if starts.size == 0:
-            return _empty_intervals()
-        return np.stack([starts, ends], axis=1).astype(np.uint64)
+    def kind_runs(bit: int) -> np.ndarray:
+        mask = (flags & bit) != 0
+        return _coverage_runs(starts[mask], ends[mask])
 
     return KindedMerge(
-        combined=coverage_runs(signs),
-        reads=coverage_runs(signs * ((flags & KIND_LOAD) != 0)),
-        writes=coverage_runs(signs * ((flags & KIND_STORE) != 0)),
+        combined=_coverage_runs(starts, ends),
+        reads=kind_runs(KIND_LOAD),
+        writes=kind_runs(KIND_STORE),
     )

@@ -89,6 +89,42 @@ def _dump_json(obj: dict) -> bytes:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode()
 
 
+def _load_json(raw: bytes, what: str, last_good_offset: int) -> dict:
+    """Parse one JSON object block; damage is a :class:`TraceError`."""
+    try:
+        obj = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise TraceError(
+            f"corrupt {what}: {exc}", last_good_offset=last_good_offset
+        ) from None
+    if not isinstance(obj, dict):
+        raise TraceError(
+            f"corrupt {what}: expected a JSON object, got "
+            f"{type(obj).__name__}",
+            last_good_offset=last_good_offset,
+        )
+    return obj
+
+
+def _inflate(payload: bytes, codec: dict) -> bytes:
+    """Undo the v2 zlib codec, never inflating past the recorded length."""
+    if codec.get("c") != "zlib":
+        raise ValueError(f"unknown payload codec {codec.get('c')!r}")
+    nbytes = codec.get("n")
+    if type(nbytes) is not int or nbytes < 0:
+        raise ValueError(
+            f"payload codec needs a non-negative int raw length, got {nbytes!r}"
+        )
+    inflater = zlib.decompressobj()
+    raw = inflater.decompress(payload, nbytes + 1)
+    if len(raw) != nbytes or not inflater.eof:
+        raise ValueError(
+            "decompressed payload length does not match the recorded raw "
+            "length"
+        )
+    return raw
+
+
 class TraceWriter:
     """Streams events into a ``.vetrace`` file.
 
@@ -287,10 +323,9 @@ class TraceReader:
         self.truncated = False
         self.salvaged_bytes = 0
         self.salvaged_events = 0
+        self.header: dict = self._read_json_block(_U32, "header")
+        self._events_start = self._file.tell()
         if self._footer_offset == 0:
-            header_len = _U32.unpack(self._read_exact(_U32.size))[0]
-            self.header: dict = json.loads(self._read_exact(header_len))
-            self._events_start = self._file.tell()
             last_good, nevents = self._scan_frames()
             if not salvage:
                 raise TraceError(
@@ -308,13 +343,33 @@ class TraceReader:
             self.salvaged_events = nevents
             self._file.seek(self._events_start)
             return
-        header_len = _U32.unpack(self._read_exact(_U32.size))[0]
-        self.header = json.loads(self._read_exact(header_len))
-        self._events_start = self._file.tell()
+        footer_end = self.nbytes - _U64.size
+        if not self._events_start <= self._footer_offset <= footer_end:
+            raise TraceError(
+                f"{path!r} footer offset {self._footer_offset} lies outside "
+                f"the file",
+                last_good_offset=self._events_start,
+            )
         self._file.seek(self._footer_offset)
-        footer_len = _U64.unpack(self._read_exact(_U64.size))[0]
-        self.footer = json.loads(self._read_exact(footer_len))
+        self.footer = self._read_json_block(_U64, "footer")
         self._file.seek(self._events_start)
+
+    def _read_json_block(self, length: struct.Struct, what: str) -> dict:
+        """The length-prefixed JSON object at the cursor (header, footer).
+
+        A length past the end of the file is rejected before reading.
+        """
+        start = self._file.tell()
+        nbytes = length.unpack(self._read_exact(length.size))[0]
+        if nbytes > self.nbytes - self._file.tell():
+            raise TraceError(
+                f"{self.path!r} {what} length {nbytes} runs past the end of "
+                f"the file",
+                last_good_offset=start,
+            )
+        return _load_json(
+            self._read_exact(nbytes), f"{what} in {self.path!r}", start
+        )
 
     def _read_exact(self, nbytes: int) -> bytes:
         data = self._file.read(nbytes)
@@ -323,6 +378,24 @@ class TraceReader:
         return data
 
     _FRAME_HEAD = _U32.size + _U32.size + _U64.size
+
+    def _read_frame_head(self) -> Tuple[int, int, int]:
+        """``(kind, meta_len, payload_len)`` of the frame at the cursor.
+
+        A length that runs past the end of the event stream (the footer,
+        or the last complete frame of a salvaged trace) is rejected
+        before anything that size is read.
+        """
+        head = self._read_exact(self._FRAME_HEAD)
+        kind = _U32.unpack(head[:4])[0]
+        meta_len = _U32.unpack(head[4:8])[0]
+        payload_len = _U64.unpack(head[8:16])[0]
+        if meta_len + payload_len > self._footer_offset - self._file.tell():
+            raise TraceError(
+                f"{self.path!r} frame lengths (meta {meta_len}, payload "
+                f"{payload_len}) run past the end of the event stream"
+            )
+        return kind, meta_len, payload_len
 
     def _scan_frames(self) -> Tuple[int, int]:
         """Walk frames until truncation or garbage.
@@ -376,9 +449,10 @@ class TraceReader:
         frames dramatically on disk without making them cheaper to
         apply — so shard planning should weigh with decoded sizes.
         This variant reads and parses each frame's meta block;
-        unparseable metas fall back to the on-disk size (the weight is
-        a planning hint, and :meth:`events` is where corruption must
-        surface as an error).
+        unparseable metas fall back to the on-disk size, and a frame
+        whose lengths run past the event stream ends the index (the
+        weight is a planning hint, and :meth:`events` is where
+        corruption must surface as an error).
         """
         position = self._file.tell()
         try:
@@ -386,10 +460,10 @@ class TraceReader:
             entries: List[Tuple[int, int, int]] = []
             while self._file.tell() < self._footer_offset:
                 start = self._file.tell()
-                head = self._read_exact(self._FRAME_HEAD)
-                kind = _U32.unpack(head[:4])[0]
-                meta_len = _U32.unpack(head[4:8])[0]
-                payload_len = _U64.unpack(head[8:16])[0]
+                try:
+                    kind, meta_len, payload_len = self._read_frame_head()
+                except TraceError:
+                    break  # the index ends here; events() reports it
                 total = self._FRAME_HEAD + meta_len + payload_len
                 nbytes = total
                 if decoded and payload_len:
@@ -430,10 +504,12 @@ class TraceReader:
         while self._file.tell() < self._footer_offset:
             frame_start = self._file.tell()
             try:
-                kind = _U32.unpack(self._read_exact(_U32.size))[0]
-                meta_len = _U32.unpack(self._read_exact(_U32.size))[0]
-                payload_len = _U64.unpack(self._read_exact(_U64.size))[0]
-                meta = json.loads(self._read_exact(meta_len))
+                kind, meta_len, payload_len = self._read_frame_head()
+                meta = _load_json(
+                    self._read_exact(meta_len),
+                    f"frame meta in {self.path!r} at offset {frame_start}",
+                    frame_start,
+                )
                 payload = self._read_exact(payload_len)
             except TraceError as exc:
                 raise TraceError(
@@ -443,16 +519,7 @@ class TraceReader:
             try:
                 codec = meta.pop("__codec__", None)
                 if codec is not None:
-                    if codec.get("c") != "zlib":
-                        raise ValueError(
-                            f"unknown payload codec {codec.get('c')!r}"
-                        )
-                    payload = zlib.decompress(payload)
-                    if len(payload) != codec.get("n", len(payload)):
-                        raise ValueError(
-                            "decompressed payload length does not match "
-                            "the recorded raw length"
-                        )
+                    payload = _inflate(payload, codec)
                 for name, desc in meta.pop("__arrays__", {}).items():
                     start = int(desc["offset"])
                     nbytes = int(desc["nbytes"])
@@ -479,7 +546,9 @@ class TraceReader:
                     arrays[name] = np.frombuffer(
                         raw, dtype=np.dtype(desc["dtype"])
                     ).reshape(desc["shape"]).copy()
-            except (ValueError, TypeError, KeyError, zlib.error) as exc:
+            except (
+                ValueError, TypeError, KeyError, AttributeError, zlib.error
+            ) as exc:
                 raise TraceError(
                     f"corrupt array descriptor in {self.path!r} frame at "
                     f"offset {frame_start}: {exc}",

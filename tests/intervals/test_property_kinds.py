@@ -1,6 +1,6 @@
 """Property tests for the kind-aware single-pass interval pipeline.
 
-The single endpoint sweep of ``merge_parallel_kinds`` must be
+The one start sort of ``merge_parallel_kinds`` must be
 extensionally identical to running the Figure 4 merge three times —
 full stream, LOAD-only subset, STORE-only subset — and to the
 byte-level reference, for *any* tagged interval multiset.  These are
@@ -12,8 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpu.accesses import AccessKind, AccessRecord
 from repro.intervals.compaction import warp_compact_kinds
-from repro.intervals.interval import KIND_LOAD, KIND_STORE, merge_reference
+from repro.intervals.interval import (
+    KIND_LOAD,
+    KIND_STORE,
+    intervals_from_accesses_kinds,
+    merge_reference,
+)
 from repro.intervals.parallel import merge_parallel, merge_parallel_kinds
 
 EMPTY = np.empty((0, 2), dtype=np.uint64)
@@ -102,6 +108,95 @@ def test_kind_compaction_any_warp_size(tagged, warp_size):
     via = merge_parallel_kinds(compacted, ckinds)
     assert np.array_equal(via.reads, direct.reads)
     assert np.array_equal(via.writes, direct.writes)
+
+
+def _tagged_from_pieces(pieces, base):
+    """Intervals with shared starts and intervals nested in others."""
+    rows, kinds = [], []
+    for start, length, inner, kind in pieces:
+        rows.append((base + start, base + start + length))
+        kinds.append(kind)
+        if inner is not None and length > 1:
+            lo = start + inner % length
+            hi = lo + 1 + (inner // 7) % (start + length - lo)
+            rows.append((base + lo, base + min(hi, start + length)))
+            kinds.append(kind ^ (KIND_LOAD | KIND_STORE))
+    return np.array(rows, dtype=np.uint64), np.array(kinds, dtype=np.uint8)
+
+
+#: Starts drawn from a small pool (many duplicates), intervals nested
+#: inside others (of either kind), optionally above 2**63 where a signed
+#: sort or scan would go wrong.
+overlap_strategy = st.builds(
+    _tagged_from_pieces,
+    st.lists(
+        st.tuples(
+            st.sampled_from([0, 8, 16, 24, 100, 101]),
+            st.integers(min_value=1, max_value=40),
+            st.one_of(st.none(), st.integers(min_value=0, max_value=500)),
+            st.sampled_from([KIND_LOAD, KIND_STORE]),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    st.sampled_from([0, 2**63, 2**64 - 2**20]),
+)
+
+
+def _reference_runs(arr):
+    return [[iv.start, iv.end] for iv in merge_reference(arr)] if arr.size else []
+
+
+@given(overlap_strategy)
+@settings(max_examples=200, deadline=None)
+def test_duplicate_nested_and_high_starts_match_both_oracles(tagged):
+    arr, kinds = tagged
+    merged = merge_parallel_kinds(arr, kinds)
+    assert np.array_equal(merged.combined, merge_parallel(arr))
+    assert merged.combined.tolist() == _reference_runs(arr)
+    for coverage, bit in ((merged.reads, KIND_LOAD), (merged.writes, KIND_STORE)):
+        subset = arr[(kinds & bit) != 0]
+        assert np.array_equal(coverage, _merge_subset(arr, kinds, bit))
+        assert coverage.tolist() == _reference_runs(subset)
+        assert coverage.dtype == np.uint64
+
+
+def _record(kind, addresses, values):
+    lanes = np.arange(len(addresses))
+    return AccessRecord(
+        pc=0,
+        kind=kind,
+        addresses=addresses,
+        values=values,
+        dtype=None,
+        kernel_name="k",
+        thread_ids=lanes,
+        block_ids=lanes,
+    )
+
+
+def test_intervals_from_accesses_kinds_matches_per_record_intervals():
+    records = [
+        _record(
+            AccessKind.LOAD,
+            np.arange(40, dtype=np.uint64) * 4,
+            np.zeros(40, np.float32),
+        ),
+        _record(AccessKind.STORE, np.empty(0, np.uint64), np.empty(0, np.int8)),
+        _record(
+            AccessKind.STORE,
+            np.array([2**63 + 8, 16, 0], dtype=np.uint64),
+            np.zeros(3, np.float64),
+        ),
+        _record(AccessKind.LOAD, np.array([5, 3], np.int64), np.zeros(2, np.int8)),
+    ]
+    raw, kinds = intervals_from_accesses_kinds(records)
+    want = np.concatenate([r.intervals() for r in records if r.count])
+    assert raw.dtype == np.uint64
+    assert np.array_equal(raw, want)
+    assert kinds.tolist() == [KIND_LOAD] * 40 + [KIND_STORE] * 3 + [KIND_LOAD] * 2
+    empty_raw, empty_kinds = intervals_from_accesses_kinds(records[1:2])
+    assert empty_raw.shape == (0, 2) and empty_kinds.shape == (0,)
 
 
 # -- adversarial fixed cases --------------------------------------------------

@@ -71,6 +71,66 @@ def test_vectorized_matches_scalar_reference(stream, warp_size):
     assert np.array_equal(got_kinds, want_kinds)
 
 
+def _records_to_stream(records):
+    """Concatenate per-record lane intervals, as the collector does."""
+    starts, sizes, kinds = [], [], []
+    for base, count, itemsize, stride, kind, shuffle_seed in records:
+        lanes = base + itemsize * stride * np.arange(count, dtype=np.uint64)
+        if shuffle_seed is not None:
+            lanes = np.random.default_rng(shuffle_seed).permutation(lanes)
+        starts.append(lanes)
+        sizes.append(np.full(count, itemsize, dtype=np.uint64))
+        kinds.append(np.full(count, kind, dtype=np.uint8))
+    starts = np.concatenate(starts)
+    return (
+        np.stack([starts, starts + np.concatenate(sizes)], axis=1),
+        np.concatenate(kinds),
+    )
+
+
+#: Streams shaped like a launch's: one run of lanes per record with
+#: ascending starts (coalesced, or strided with gaps), item sizes of 1,
+#: 4 and 8 bytes, record lengths that are whole warps or not (so rows
+#: can mix kinds and the last row can be partial), and some records
+#: whose lanes are shuffled (scattered accesses).
+record_strategy = st.tuples(
+    st.integers(min_value=0, max_value=4096),
+    st.one_of(st.sampled_from([32, 64, 96]), st.integers(1, 80)),
+    st.sampled_from([1, 4, 8]),
+    st.sampled_from([1, 1, 2]),
+    st.sampled_from([KIND_LOAD, KIND_STORE]),
+    st.one_of(st.none(), st.none(), st.integers(0, 2**16)),
+)
+production_strategy = st.lists(record_strategy, min_size=1, max_size=8).map(
+    _records_to_stream
+)
+
+
+@given(production_strategy, st.sampled_from([32, 32, 8, 5]))
+@settings(max_examples=200, deadline=None)
+def test_production_shaped_streams_match_scalar_reference(stream, warp_size):
+    arr, kinds = stream
+    got_arr, got_kinds = warp_compact_kinds(arr, kinds, warp_size=warp_size)
+    want_arr, want_kinds = _scalar_reference(arr, kinds, warp_size)
+    assert np.array_equal(got_arr, want_arr)
+    assert np.array_equal(got_kinds, want_kinds)
+
+
+def test_ordered_rows_are_left_in_place_and_unordered_rows_sorted():
+    """A coalesced warp, a reversed warp and a row mixing kinds."""
+    ascending = np.arange(32, dtype=np.uint64) * 4
+    starts = np.concatenate([ascending, ascending[::-1] + 1000, ascending + 2000])
+    arr = np.stack([starts, starts + 4], axis=1)
+    kinds = np.full(96, KIND_LOAD, dtype=np.uint8)
+    kinds[64:80] = KIND_STORE
+    got_arr, got_kinds = warp_compact_kinds(arr, kinds, warp_size=32)
+    # Per row, LOAD runs come before STORE runs (ascending kind flag).
+    assert got_arr.tolist() == [
+        [0, 128], [1000, 1128], [2064, 2128], [2000, 2064]
+    ]
+    assert got_kinds.tolist() == [KIND_LOAD, KIND_LOAD, KIND_LOAD, KIND_STORE]
+
+
 def test_empty_stream():
     got_arr, got_kinds = warp_compact_kinds(
         EMPTY, np.empty(0, dtype=np.uint8)
