@@ -12,7 +12,7 @@ not by hit multiplicity.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.patterns.base import (
     PatternHit,
     SnapshotPair,
 )
-from repro.patterns.coarse import unchanged_fraction
+from repro.patterns.coarse import redundant_values_hit, unchanged_fraction
 from repro.patterns.engine import PatternEngine
 from repro.utils.hashing import snapshot_digest
 
@@ -111,11 +111,13 @@ class OnlineAnalyzer:
 
     def _on_memory_api(self, obs: MemoryApiObservation) -> None:
         kind = VertexKind.MEMSET if obs.api == "memset" else VertexKind.MEMCPY
+        fractions = self._unchanged_fractions(obs.writes)
         vertex = self._record_flow(
             kind,
             obs.name,
             obs.call_path,
             obs.writes,
+            fractions,
             obs.reads,
             obs.time_s,
             host_source=obs.host_source,
@@ -124,7 +126,7 @@ class OnlineAnalyzer:
             device=obs.device,
         )
         api_ref = self._api_ref(vertex)
-        self._coarse_analysis(obs.writes, api_ref)
+        self._coarse_analysis(obs.writes, fractions, api_ref)
         host_extra = None
         if obs.host_array is not None:
             host_extra = (f"host:{obs.host_array.label}", obs.host_array.data)
@@ -145,11 +147,13 @@ class OnlineAnalyzer:
         self._on_launch(obs)
 
     def _on_launch(self, obs: LaunchObservation) -> None:
+        fractions = self._unchanged_fractions(obs.writes)
         vertex = self._record_flow(
             VertexKind.KERNEL,
             obs.kernel_name,
             obs.call_path,
             obs.writes,
+            fractions,
             obs.reads,
             obs.time_s,
             annotation=obs.annotation,
@@ -161,7 +165,7 @@ class OnlineAnalyzer:
             # excluded from every pattern analysis.
             return
         api_ref = self._api_ref(vertex)
-        self._coarse_analysis(obs.writes, api_ref)
+        self._coarse_analysis(obs.writes, fractions, api_ref)
         self._duplicate_analysis(obs.writes, api_ref, None)
         fine_span = (
             telemetry.tracer().begin(
@@ -192,12 +196,27 @@ class OnlineAnalyzer:
 
     # -- analysis steps -----------------------------------------------------------
 
+    @staticmethod
+    def _unchanged_fractions(writes) -> List[float]:
+        """Each written object's unchanged fraction (Definition 3.1).
+
+        Computed once per write: the flow-graph edge and the
+        redundant-values check both read it.
+        """
+        return [
+            unchanged_fraction(
+                SnapshotPair(write.before, write.after, write.written_indices)
+            )
+            for write in writes
+        ]
+
     def _record_flow(
         self,
         kind: VertexKind,
         name: str,
         call_path,
         writes,
+        fractions: List[float],
         reads,
         time_s: float,
         host_source: bool = False,
@@ -205,19 +224,15 @@ class OnlineAnalyzer:
         annotation=(),
         device: int = 0,
     ) -> Vertex:
-        write_accesses = []
-        for write in writes:
-            fraction = unchanged_fraction(
-                SnapshotPair(write.before, write.after, write.written_indices)
+        write_accesses = [
+            ObjectAccess(
+                alloc_id=write.obj.alloc_id,
+                nbytes=write.nbytes,
+                redundant_fraction=fraction,
+                device=write.obj.device,
             )
-            write_accesses.append(
-                ObjectAccess(
-                    alloc_id=write.obj.alloc_id,
-                    nbytes=write.nbytes,
-                    redundant_fraction=fraction,
-                    device=write.obj.device,
-                )
-            )
+            for write, fraction in zip(writes, fractions)
+        ]
         read_accesses = [
             ObjectAccess(
                 alloc_id=read.obj.alloc_id,
@@ -242,17 +257,19 @@ class OnlineAnalyzer:
         self._current_operator = tuple(annotation)
         return vertex
 
-    def _coarse_analysis(self, writes, api_ref: str) -> None:
+    def _coarse_analysis(
+        self, writes, fractions: List[float], api_ref: str
+    ) -> None:
         span = (
             telemetry.tracer().begin("analyzer.coarse", writes=len(writes))
             if telemetry.ENABLED and writes
             else None
         )
-        for write in writes:
-            pair = SnapshotPair(write.before, write.after, write.written_indices)
-            for hit in self.engine.analyze_snapshot(
-                pair, write.obj.label, api_ref
-            ):
+        for write, fraction in zip(writes, fractions):
+            hit = redundant_values_hit(
+                fraction, write.obj.label, api_ref, self.engine.config
+            )
+            if hit is not None:
                 self._add_hit(hit, fine=False)
         if span is not None:
             span.end()

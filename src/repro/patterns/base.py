@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -95,12 +96,60 @@ class SnapshotPair:
     written_indices: Optional[np.ndarray] = None
 
 
+@dataclass(frozen=True, eq=False)
+class ViewSummary:
+    """What one ``np.unique`` pass tells about a view's values.
+
+    Every fine-grained detector reads this instead of re-deriving it
+    from the raw values.  ``np.unique`` semantics: the distinct values
+    ascend; +0.0 and -0.0 are one entry, carrying whichever sign the
+    sort put first; and all NaNs are one trailing entry, whatever their
+    payloads.
+    """
+
+    #: Number of values.
+    n: int
+    #: ``values[0]`` as a numpy scalar (None for an empty view).
+    first: object
+    #: Sorted distinct values.
+    distinct: np.ndarray
+    #: Occurrences of each distinct value.
+    counts: np.ndarray
+    #: Whether some value is a NaN.
+    has_nan: bool
+    #: The flattened values; None for a summary derived without them
+    #: (which never holds a NaN).
+    values: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "ViewSummary":
+        """Summarise ``values`` with one sort."""
+        values = np.asarray(values).ravel()
+        distinct, counts = np.unique(values, return_counts=True)
+        has_nan = (
+            distinct.dtype.kind == "f"
+            and distinct.size > 0
+            and bool(np.isnan(distinct[-1]))
+        )
+        first = values[0] if values.size else None
+        return cls(values.size, first, distinct, counts, has_nan, values)
+
+    @property
+    def finite(self) -> bool:
+        """Whether every value is finite (no NaN and no infinity)."""
+        if self.distinct.dtype.kind != "f":
+            return True
+        return not self.has_nan and bool(
+            np.isfinite(self.distinct[0]) and np.isfinite(self.distinct[-1])
+        )
+
+
 @dataclass
 class ObjectAccessView:
     """All fine-grained information about one object at one GPU API.
 
     Built by the online analyzer from access records; consumed by the
-    fine-grained detectors.
+    fine-grained detectors, which share its :attr:`summary`.
     """
 
     object_label: str
@@ -113,3 +162,8 @@ class ObjectAccessView:
     dtype: DType
     #: Element size in bytes of the underlying object.
     itemsize: int = 4
+
+    @functools.cached_property
+    def summary(self) -> ViewSummary:
+        """The values' :class:`ViewSummary`, computed on first use."""
+        return ViewSummary.of(self.values)

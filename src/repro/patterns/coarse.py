@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.gpu.dtypes import unsigned_of_width
 from repro.patterns.base import Pattern, PatternConfig, PatternHit, SnapshotPair
 from repro.utils.hashing import snapshot_digest
 
@@ -43,11 +44,11 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
         after = after[idx]
     if before.size == 0:
         return 0.0
-    # Bitwise comparison: NaN == NaN counts as unchanged, matching the
-    # raw-snapshot semantics of the tool.
-    before_bits = np.ascontiguousarray(before).view(np.uint8).reshape(before.size, -1)
-    after_bits = np.ascontiguousarray(after).view(np.uint8).reshape(after.size, -1)
-    same = (before_bits == after_bits).all(axis=1)
+    # Bitwise comparison, one unsigned word per element: NaN == NaN
+    # counts as unchanged (matching the raw-snapshot semantics of the
+    # tool), and -0.0 differs from +0.0.
+    word = unsigned_of_width(before.dtype.itemsize)
+    same = np.ascontiguousarray(before).view(word) == np.ascontiguousarray(after).view(word)
     return float(np.count_nonzero(same)) / before.size
 
 
@@ -58,7 +59,16 @@ def detect_redundant_values(
     config: PatternConfig = PatternConfig(),
 ) -> Optional[PatternHit]:
     """Report the redundant-values pattern when it holds for ``pair``."""
-    fraction = unchanged_fraction(pair)
+    return redundant_values_hit(unchanged_fraction(pair), object_label, api_ref, config)
+
+
+def redundant_values_hit(
+    fraction: float,
+    object_label: str,
+    api_ref: str,
+    config: PatternConfig = PatternConfig(),
+) -> Optional[PatternHit]:
+    """The redundant-values hit for an already computed unchanged fraction."""
     if fraction < config.redundant_threshold:
         return None
     return PatternHit(

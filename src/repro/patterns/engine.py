@@ -1,38 +1,31 @@
-"""The pattern engine: runs every detector over object-access views.
+"""The pattern engine: runs every fine-grained detector over a view.
 
 The online analyzer builds one :class:`~repro.patterns.base
-.ObjectAccessView` per (data object, GPU API) plus snapshot pairs for
-the coarse analysis, then hands them to the engine.  The engine is pure
-(no GPU or collector state), which is what makes the detectors unit- and
-property-testable in isolation.
+.ObjectAccessView` per (data object, GPU API) and hands it to the
+engine; every detector reads the view's one shared
+:class:`~repro.patterns.base.ViewSummary`.  The engine is pure (no GPU
+or collector state), which is what makes the detectors unit- and
+property-testable in isolation.  The coarse patterns need state across
+APIs (the previous snapshot, a digest index), so the analyzer drives
+them itself.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.patterns.approximate import detect_approximate_values
-from repro.patterns.base import (
-    ObjectAccessView,
-    PatternConfig,
-    PatternHit,
-    SnapshotPair,
-)
-from repro.patterns.coarse import detect_duplicate_values, detect_redundant_values
+from repro.patterns.base import ObjectAccessView, PatternConfig, PatternHit
 from repro.patterns.fine import run_fine_value_detectors
 from repro.patterns.heavy_type import detect_heavy_type
 from repro.patterns.structured import detect_structured_values
 
 
 class PatternEngine:
-    """Runs all eight detectors under one configuration."""
+    """Runs the six fine-grained detectors under one configuration."""
 
     def __init__(self, config: Optional[PatternConfig] = None):
         self.config = config or PatternConfig()
-
-    # -- fine-grained ------------------------------------------------------
 
     def analyze_view(self, view: ObjectAccessView) -> List[PatternHit]:
         """All fine-grained patterns of one object at one GPU API."""
@@ -46,18 +39,3 @@ class PatternEngine:
             hits.append(structured)
         hits.extend(detect_approximate_values(view, self.config))
         return hits
-
-    # -- coarse-grained ------------------------------------------------------
-
-    def analyze_snapshot(
-        self, pair: SnapshotPair, object_label: str, api_ref: str
-    ) -> List[PatternHit]:
-        """Redundant-values check for one object at one GPU API."""
-        hit = detect_redundant_values(pair, object_label, api_ref, self.config)
-        return [hit] if hit is not None else []
-
-    def analyze_duplicates(
-        self, snapshots: Iterable[Tuple[str, np.ndarray]], api_ref: str
-    ) -> List[PatternHit]:
-        """Duplicate-values grouping across objects at one GPU API."""
-        return detect_duplicate_values(snapshots, api_ref)

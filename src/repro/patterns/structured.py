@@ -32,57 +32,91 @@ def fit_structured(
 ) -> Optional[tuple]:
     """Robust linear fit ``value ~ slope * index + intercept``.
 
-    Returns ``(slope, intercept, inlier_fraction, max_inlier_residual)``
-    or ``None`` when no fit is possible (fewer than two distinct
-    indices).
+    Returns ``(slope, intercept, residuals)``, where ``residuals`` holds
+    each point's ``|predicted - value|`` over ``max(max |value|, 1)``,
+    in ascending index order; or ``None`` when there is no structure to
+    fit: fewer than two distinct indices, or a zero slope.
     """
-    order = np.argsort(indices)
-    x = indices[order].astype(np.float64)
-    y = values[order].astype(np.float64)
+    if not (indices[1:] > indices[:-1]).all():
+        order = np.argsort(indices)
+        indices, values = indices[order], values[order]
+    x = indices.astype(np.float64)
+    y = values.astype(np.float64)
     dx = np.diff(x)
     keep = dx != 0
     if not keep.any():
         return None
-    slopes = np.diff(y)[keep] / dx[keep]
-    slope = float(np.median(slopes))
-    intercept = float(np.median(y - slope * x))
-    predicted = slope * x + intercept
-    scale = max(float(np.abs(y).max()), 1.0)
-    residuals = np.abs(predicted - y) / scale
+    # Huge values overflow to inf (and inf - inf is NaN); such a fit
+    # simply fails the inlier test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(y)[keep] / dx[keep]
+        slope = float(np.median(slopes))
+        if slope == 0.0:
+            return None
+        intercept = float(np.median(y - slope * x))
+        predicted = slope * x + intercept
+        scale = max(float(np.abs(y).max()), 1.0)
+        residuals = np.abs(predicted - y) / scale
     return slope, intercept, residuals
+
+
+def _first_occurrences(indices: np.ndarray):
+    """``np.unique(indices, return_index=True)``, without the sort when
+    it can: whole indices spanning no more slots than there are accesses
+    go through a table of each index's first position."""
+    if indices.max() >= indices.size:
+        return np.unique(indices, return_index=True)
+    whole = indices.astype(np.int64)
+    if not (whole == indices).all():
+        return np.unique(indices, return_index=True)
+    first = np.full(indices.size, indices.size, dtype=np.int64)
+    np.minimum.at(first, whole, np.arange(indices.size))
+    present = np.flatnonzero(first < indices.size)
+    return present.astype(np.float64), first[present]
 
 
 def detect_structured_values(
     view: ObjectAccessView, config: PatternConfig = PatternConfig()
 ) -> Optional[PatternHit]:
     """Report structured values when value ~ linear(address) holds."""
-    values = np.asarray(view.values).ravel().astype(np.float64)
+    n = np.size(view.values)
+    if n < config.min_accesses or n != np.size(view.addresses):
+        return None
+    # The summary rejects non-finite and nearly constant views before
+    # any address work.  Nearly constant data is single value / frequent
+    # values, not structured (the patterns are reported separately).
+    summary = view.summary
+    if not summary.finite or summary.distinct.size < config.structured_min_distinct:
+        return None
+    values = summary.values.astype(np.float64)
     addresses = np.asarray(view.addresses).ravel().astype(np.float64)
-    if values.size < config.min_accesses or values.size != addresses.size:
-        return None
-    if not np.all(np.isfinite(values)):
-        return None
     # Work on element indices rather than raw addresses for conditioning.
     indices = (addresses - addresses.min()) / max(view.itemsize, 1)
     # Deduplicate by address: repeated accesses to one element must see
     # one value for a functional relation to exist at all.
-    uniq_idx, first_pos = np.unique(indices, return_index=True)
-    uniq_val = values[first_pos]
+    if (indices[1:] > indices[:-1]).all():
+        uniq_idx, uniq_val = indices, values
+    else:
+        uniq_idx, first_pos = _first_occurrences(indices)
+        uniq_val = values[first_pos]
     if uniq_idx.size < config.structured_min_distinct:
-        return None
-    if np.unique(uniq_val).size < config.structured_min_distinct:
-        # Nearly constant data is single value / frequent values, not
-        # structured (the patterns are reported separately).
         return None
     fit = fit_structured(uniq_idx, uniq_val)
     if fit is None:
         return None
     slope, intercept, residuals = fit
-    if slope == 0.0:
-        return None
     inliers = residuals <= config.structured_tolerance
     inlier_fraction = float(np.count_nonzero(inliers)) / residuals.size
     if inlier_fraction < 1.0 - config.structured_outlier_fraction:
+        return None
+    # The deduplicated values must also be distinct enough.  Checked
+    # last, as it needs a sort unless every element was kept and the
+    # cast to float64 is injective (all but 64-bit integers): then the
+    # summary already counted them.
+    injective = summary.values.dtype.kind == "f" or summary.values.itemsize < 8
+    if (uniq_idx.size < n or not injective) and (
+        np.unique(uniq_val).size < config.structured_min_distinct
+    ):
         return None
     return PatternHit(
         pattern=Pattern.STRUCTURED_VALUES,

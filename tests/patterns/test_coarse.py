@@ -94,6 +94,26 @@ def test_redundant_respects_threshold():
     assert detect_redundant_values(_pair(before, after), "o", "a", loose) is not None
 
 
+def test_redundant_silent_when_every_element_changes():
+    hit = detect_redundant_values(_pair(np.zeros(32), np.ones(32)), "obj", "api")
+    assert hit is None
+
+
+def test_unchanged_fraction_compares_whole_words():
+    """One differing byte inside a wide element changes the element."""
+    before = np.arange(8, dtype=np.int64)
+    after = before.copy()
+    after.view(np.uint8)[8 * 3 + 7] ^= 0x80
+    assert unchanged_fraction(_pair(before, after)) == pytest.approx(7 / 8)
+
+
+def test_unchanged_fraction_nan_payloads_differ():
+    """Two NaNs with different payloads are different bits."""
+    before = np.array([0x7FC00000, 0x7FC00001], np.uint32).view(np.float32)
+    after = np.array([0x7FC00000, 0x7FC00002], np.uint32).view(np.float32)
+    assert unchanged_fraction(_pair(before, after)) == 0.5
+
+
 def test_fully_redundant_double_initialization():
     """The PyTorch double-init case: second init changes nothing."""
     snapshot = np.zeros(64, np.float32)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.gpu.dtypes import DType
-from repro.patterns.base import ObjectAccessView, Pattern, PatternConfig, SnapshotPair
+from repro.patterns.base import ObjectAccessView, Pattern, PatternConfig, ViewSummary
 from repro.patterns.engine import PatternEngine
 
 
@@ -46,32 +46,25 @@ def test_engine_uses_config():
     assert hits == []
 
 
-def test_engine_snapshot_analysis():
-    engine = PatternEngine()
-    pair = SnapshotPair(np.zeros(32), np.zeros(32))
-    hits = engine.analyze_snapshot(pair, "obj", "api")
-    assert len(hits) == 1
-    assert hits[0].pattern is Pattern.REDUNDANT_VALUES
-
-
-def test_engine_snapshot_no_hit_when_changed():
-    engine = PatternEngine()
-    pair = SnapshotPair(np.zeros(32), np.ones(32))
-    assert engine.analyze_snapshot(pair, "obj", "api") == []
-
-
-def test_engine_duplicate_analysis():
-    engine = PatternEngine()
-    hits = engine.analyze_duplicates(
-        [("a", np.zeros(8)), ("b", np.zeros(8))], "api"
-    )
-    assert len(hits) == 1
-    assert hits[0].pattern is Pattern.DUPLICATE_VALUES
-
-
 def test_engine_is_pure():
     """Two engines over the same input produce the same hits."""
     values = np.zeros(64, np.float32)
     first = PatternEngine().analyze_view(_view(values))
     second = PatternEngine().analyze_view(_view(values))
     assert [h.pattern for h in first] == [h.pattern for h in second]
+
+
+def test_detectors_share_one_summary(monkeypatch):
+    """One np.unique per view: every detector reads the same summary."""
+    built = []
+    original = ViewSummary.of.__func__
+
+    def counting(cls, values):
+        built.append(values.size)
+        return original(cls, values)
+
+    monkeypatch.setattr(ViewSummary, "of", classmethod(counting))
+    values = np.arange(64, dtype=np.float32) * 1.5
+    hits = PatternEngine().analyze_view(_view(values))
+    assert built == [64]
+    assert Pattern.STRUCTURED_VALUES in {hit.pattern for hit in hits}

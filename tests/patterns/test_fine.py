@@ -10,7 +10,6 @@ from repro.patterns.fine import (
     detect_single_value,
     detect_single_zero,
     run_fine_value_detectors,
-    value_histogram,
 )
 
 
@@ -26,10 +25,19 @@ def _view(values, dtype=DType.FLOAT32):
     )
 
 
-def test_histogram_orders_by_frequency():
-    distinct, counts = value_histogram(np.array([3, 1, 3, 3, 2, 1]))
-    assert distinct[0] == 3
-    assert counts.tolist() == [3, 2, 1]
+def test_frequent_reports_the_most_frequent_value():
+    values = np.array([3, 1, 3, 3, 2, 1, 3, 3], np.int32)
+    hit = detect_frequent_values(_view(values, DType.INT32))
+    assert hit.metrics["top_value"] == 3
+    assert hit.metrics["share"] == pytest.approx(5 / 8)
+    assert hit.metrics["distinct_values"] == 3
+
+
+def test_frequent_tie_picks_one_of_the_tied_values():
+    values = np.array([1.0, 2.0] * 8, np.float32)
+    hit = detect_frequent_values(_view(values))
+    assert hit.metrics["top_value"] in (1.0, 2.0)
+    assert hit.metrics["share"] == 0.5
 
 
 def test_frequent_fires_on_dominant_value():

@@ -1,5 +1,7 @@
 """Tests for the heavy-type detector (Definition 3.6)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,28 @@ def test_empty_values_keep_declared():
 def test_hit_reports_pattern_enum():
     hit = detect_heavy_type(_view(np.arange(64, dtype=np.int32), DType.INT32))
     assert hit.pattern is Pattern.HEAVY_TYPE
+
+
+def test_demotion_overflow_does_not_warn():
+    """Floats beyond float16's range fail the round-trip silently."""
+    values = np.linspace(1e5, 1e7, 1024).astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert minimal_value_type(values, DType.FLOAT32) is DType.FLOAT32
+        assert detect_heavy_type(_view(values, DType.FLOAT32)) is None
+
+
+def test_codebook_caps_at_uint8_codes():
+    """256 distinct irrational doubles still fit uint8 codes; 257 do not."""
+    alphabet = np.sqrt(np.arange(2, 259, dtype=np.float64))
+    hit = detect_heavy_type(_view(alphabet[:256], DType.FLOAT64))
+    assert hit.metrics["codebook_size"] == 256
+    assert hit.metrics["minimal"] == "UINT8"
+    assert detect_heavy_type(_view(alphabet, DType.FLOAT64)) is None
+
+
+def test_minimal_type_of_distinct_values_matches_all_values():
+    values = np.array([0.5, -0.0, 0.0, 0.25, np.nan, 0.5] * 4)
+    assert minimal_value_type(values, DType.FLOAT64) is minimal_value_type(
+        np.unique(values), DType.FLOAT64
+    )

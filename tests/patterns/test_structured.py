@@ -104,6 +104,13 @@ def test_fit_structured_returns_none_for_single_address():
     assert fit_structured(indices, values) is None
 
 
+def test_fit_structured_returns_none_for_zero_slope():
+    indices = np.arange(10, dtype=np.float64)
+    values = np.where(indices == 4, 9.0, 2.0)
+    assert fit_structured(indices, values) is None
+    assert fit_structured(indices, indices * 2)[0] == 2.0
+
+
 def test_itemsize_scaling_of_indices():
     """Addresses stride by itemsize; the fit works in element space."""
     values = np.arange(64, dtype=np.int64) * 5
