@@ -3,7 +3,18 @@
 import numpy as np
 
 from repro.gpu.dtypes import DType
-from repro.patterns.base import ObjectAccessView, Pattern, PatternConfig, ViewSummary
+from repro.patterns.base import (
+    ObjectAccessView,
+    Pattern,
+    PatternConfig,
+    SnapshotPair,
+    ViewSummary,
+)
+from repro.patterns.coarse import (
+    detect_duplicate_values,
+    redundant_values_hit,
+    unchanged_fraction,
+)
 from repro.patterns.engine import PatternEngine
 
 
@@ -44,6 +55,27 @@ def test_engine_uses_config():
     engine = PatternEngine(PatternConfig(min_accesses=1000))
     hits = engine.analyze_view(_view(np.zeros(64, np.float32)))
     assert hits == []
+
+
+def test_engine_snapshot_analysis():
+    """The analyzer's snapshot check under the engine's configuration."""
+    engine = PatternEngine()
+    pair = SnapshotPair(np.zeros(32), np.zeros(32))
+    hit = redundant_values_hit(
+        unchanged_fraction(pair), "obj", "api", engine.config
+    )
+    assert hit is not None
+    assert hit.pattern is Pattern.REDUNDANT_VALUES
+
+
+def test_engine_duplicate_analysis():
+    """Coarse duplicate grouping stays outside the fine-view engine."""
+    assert not hasattr(PatternEngine(), "analyze_duplicates")
+    hits = detect_duplicate_values(
+        [("a", np.zeros(8)), ("b", np.zeros(8))], "api"
+    )
+    assert len(hits) == 1
+    assert hits[0].pattern is Pattern.DUPLICATE_VALUES
 
 
 def test_engine_is_pure():
