@@ -201,14 +201,23 @@ class OnlineAnalyzer:
         """Each written object's unchanged fraction (Definition 3.1).
 
         Computed once per write: the flow-graph edge and the
-        redundant-values check both read it.
+        redundant-values check both read it.  It is coarse work, so it
+        is timed under ``analyzer.coarse`` like the check itself.
         """
-        return [
+        span = (
+            telemetry.tracer().begin("analyzer.coarse", writes=len(writes))
+            if telemetry.ENABLED and writes
+            else None
+        )
+        fractions = [
             unchanged_fraction(
                 SnapshotPair(write.before, write.after, write.written_indices)
             )
             for write in writes
         ]
+        if span is not None:
+            span.end()
+        return fractions
 
     def _record_flow(
         self,

@@ -63,10 +63,16 @@ from repro.trace_io.replayer import TraceReplayer
 #: relative to replaying it with full analysis.  The tool plans shard
 #: boundaries with this skew: a later shard pays this fraction of every
 #: earlier event's cost before its own range starts, so giving later
-#: shards smaller active ranges shortens the critical path.  The value
-#: is conservative — overestimating it shifts load onto shard 0, which
-#: has no prefix, and degrades gracefully toward the even split.
-PREFIX_COST_RATIO = 0.30
+#: shards smaller active ranges shortens the critical path.  The ratio
+#: moves whenever either side gets faster, so re-measure it after any
+#: change to the analysis or the prefix path: on the many-small-objects
+#: workload of ``benchmarks/test_shard_scaling.py``, the per-event
+#: minimum over repeated passive and active replays puts it between
+#: 0.24 and 0.28.  The value sits at the top of that range: an
+#: overestimate leaves shard 0, which has no prefix, the slowest shard,
+#: while an underestimate overloads the last shards, whose prefixes are
+#: the longest.
+PREFIX_COST_RATIO = 0.28
 
 
 def plan_shards(

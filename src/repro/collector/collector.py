@@ -58,9 +58,10 @@ from repro.intervals.interval import intervals_from_accesses_kinds
 from repro.intervals.parallel import merge_parallel_kinds
 from repro.utils.callpath import CallPath
 
-#: Shared placeholder for written-index sets the passive prefix of a
-#: sharded replay never reads.
+#: Shared placeholders for what the passive prefix of a sharded replay
+#: never reads: written-index sets and read coverage.
 _EMPTY_INDICES = np.empty(0, dtype=np.int64)
+_EMPTY_INTERVALS = np.empty((0, 2), dtype=np.uint64)
 
 
 # --------------------------------------------------------------------------
@@ -674,8 +675,13 @@ class DataCollector(RuntimeListener):
             if telemetry.ENABLED
             else None
         )
+        # A passive prefix records no reads (below), so it skips routing
+        # them.
         routed = self.registry.route_intervals(
-            merged.combined, merged.reads, merged.writes, device=event.device
+            merged.combined,
+            merged.reads if self.analysis_active else _EMPTY_INTERVALS,
+            merged.writes,
+            device=event.device,
         )
         if binder_span is not None:
             binder_span.end()

@@ -215,12 +215,10 @@ class DataObjectRegistry:
         clipped = np.stack([lo, hi], axis=1)
         # merged is sorted+disjoint -> obj_idx is nondecreasing, so each
         # object's rows form one contiguous run.
-        heads = np.flatnonzero(np.diff(obj_idx)) + 1
-        for piece, oi in zip(
-            np.split(clipped, heads),
-            obj_idx[np.concatenate(([0], heads))].tolist(),
-        ):
-            yield oi, piece
+        heads = [0] + (np.flatnonzero(np.diff(obj_idx)) + 1).tolist()
+        tails = heads[1:] + [obj_idx.size]
+        for head, tail, oi in zip(heads, tails, obj_idx[heads].tolist()):
+            yield oi, clipped[head:tail]
 
     def assign_intervals(
         self, merged: np.ndarray, device: int = 0

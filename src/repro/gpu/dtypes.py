@@ -30,15 +30,23 @@ class DType(enum.Enum):
     FLOAT32 = "float32"
     FLOAT64 = "float64"
 
+    def __init__(self, value: str) -> None:
+        # Hot-path caches: ``np.dtype`` construction is surprisingly
+        # costly, and so is a dict lookup keyed by an enum member (its
+        # ``__hash__`` is Python code).  These properties are hit once
+        # per access record on decode and once per object per launch.
+        self._np_dtype = np.dtype(value)
+        self._itemsize = self._np_dtype.itemsize
+
     @property
     def np_dtype(self) -> np.dtype:
         """The equivalent numpy dtype."""
-        return _NP_DTYPES[self]
+        return self._np_dtype
 
     @property
     def itemsize(self) -> int:
         """Width in bytes."""
-        return _ITEMSIZES[self]
+        return self._itemsize
 
     @property
     def bits(self) -> int:
@@ -76,13 +84,6 @@ class DType(enum.Enum):
             if member.value == name:
                 return member
         raise ValueError(f"unsupported numpy dtype: {dtype!r}")
-
-
-#: Hot-path caches: ``np.dtype`` construction is surprisingly costly and
-#: these properties are hit once per access record on decode and view
-#: building.
-_NP_DTYPES = {member: np.dtype(member.value) for member in DType}
-_ITEMSIZES = {member: _NP_DTYPES[member].itemsize for member in DType}
 
 
 #: Integer narrowing ladders used by the heavy-type detector, narrowest

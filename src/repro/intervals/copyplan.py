@@ -23,6 +23,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.intervals.interval import as_interval_array, total_covered_bytes
 
 
@@ -132,28 +134,30 @@ def plan_copy(
     copy degenerates to min-max unless the whole object is spanned
     anyway, in which case the plans coincide.
     """
+    if (
+        policy.force is None
+        and policy.dense_fraction <= 1.0
+        and isinstance(merged, np.ndarray)
+        and merged.shape == (1, 2)
+        and merged.dtype == np.uint64
+    ):
+        # One non-empty merged interval (the collector's usual case) is
+        # trivially dense (covered == span), so the adaptive rule always
+        # lands on the min-max plan; build it without normalising the
+        # input or the coverage reductions the general case needs.
+        lo, hi = int(merged[0, 0]), int(merged[0, 1])
+        if hi > lo:
+            nbytes = hi - lo
+            return CopyPlan(
+                strategy=CopyStrategy.MIN_MAX,
+                ranges=((lo, hi),),
+                bytes_transferred=nbytes,
+                invocations=1,
+                cost_bytes=nbytes + policy.per_copy_latency_bytes,
+            )
     arr = as_interval_array(merged)
     if arr.shape[0] == 0:
         return _plan(CopyStrategy.SEGMENT, [], policy)
-    if (
-        policy.force is None
-        and arr.shape[0] == 1
-        and policy.dense_fraction <= 1.0
-        and arr[0, 1] > arr[0, 0]
-    ):
-        # One non-empty merged interval is trivially dense (covered ==
-        # span), so the adaptive rule always lands on the min-max plan;
-        # build it without the coverage reductions the general case
-        # needs.
-        lo, hi = int(arr[0, 0]), int(arr[0, 1])
-        nbytes = hi - lo
-        return CopyPlan(
-            strategy=CopyStrategy.MIN_MAX,
-            ranges=((lo, hi),),
-            bytes_transferred=nbytes,
-            invocations=1,
-            cost_bytes=nbytes + policy.per_copy_latency_bytes,
-        )
     if policy.force is CopyStrategy.DIRECT:
         return plan_direct(object_start, object_size, policy)
     if policy.force is CopyStrategy.MIN_MAX:

@@ -60,21 +60,6 @@ def fit_structured(
     return slope, intercept, residuals
 
 
-def _first_occurrences(indices: np.ndarray):
-    """``np.unique(indices, return_index=True)``, without the sort when
-    it can: whole indices spanning no more slots than there are accesses
-    go through a table of each index's first position."""
-    if indices.max() >= indices.size:
-        return np.unique(indices, return_index=True)
-    whole = indices.astype(np.int64)
-    if not (whole == indices).all():
-        return np.unique(indices, return_index=True)
-    first = np.full(indices.size, indices.size, dtype=np.int64)
-    np.minimum.at(first, whole, np.arange(indices.size))
-    present = np.flatnonzero(first < indices.size)
-    return present.astype(np.float64), first[present]
-
-
 def detect_structured_values(
     view: ObjectAccessView, config: PatternConfig = PatternConfig()
 ) -> Optional[PatternHit]:
@@ -97,7 +82,7 @@ def detect_structured_values(
     if (indices[1:] > indices[:-1]).all():
         uniq_idx, uniq_val = indices, values
     else:
-        uniq_idx, first_pos = _first_occurrences(indices)
+        uniq_idx, first_pos = np.unique(indices, return_index=True)
         uniq_val = values[first_pos]
     if uniq_idx.size < config.structured_min_distinct:
         return None

@@ -442,17 +442,21 @@ class TraceReader:
         is cheap even on large traces; shard planning weighs event
         ranges with it.  The file position is preserved.
 
-        With ``decoded=True`` the size is the frame's *decoded*
-        footprint: compressed payloads count at their post-inflate
-        length (``__codec__["n"]``).  Replay cost tracks decoded bytes,
-        not disk bytes — v2's zlib/XOR-delta encoding shrinks repetitive
-        frames dramatically on disk without making them cheaper to
-        apply — so shard planning should weigh with decoded sizes.
-        This variant reads and parses each frame's meta block;
-        unparseable metas fall back to the on-disk size, and a frame
-        whose lengths run past the event stream ends the index (the
-        weight is a planning hint, and :meth:`events` is where
-        corruption must surface as an error).
+        With ``decoded=True`` the size is the frame's *decoded payload*:
+        the frame header plus the payload, compressed payloads counted
+        at their post-inflate length (``__codec__["n"]``).  Replay cost
+        tracks decoded payload bytes, not disk bytes — v2's
+        zlib/XOR-delta encoding shrinks repetitive frames dramatically
+        on disk without making them cheaper to apply — so shard
+        planning should weigh with decoded sizes.  The meta block is
+        left out: its size follows the recorded host call path, so under
+        a deep host stack even a malloc or free frame carries kilobytes
+        of it, while replaying one costs a small fraction of a launch.
+        This variant reads and parses the meta block of each frame that
+        has a payload; unparseable metas fall back to the on-disk size,
+        and a frame whose lengths run past the event stream ends the
+        index (the weight is a planning hint, and :meth:`events` is
+        where corruption must surface as an error).
         """
         position = self._file.tell()
         try:
@@ -465,7 +469,7 @@ class TraceReader:
                 except TraceError:
                     break  # the index ends here; events() reports it
                 total = self._FRAME_HEAD + meta_len + payload_len
-                nbytes = total
+                nbytes = self._FRAME_HEAD + payload_len if decoded else total
                 if decoded and payload_len:
                     try:
                         meta = json.loads(
@@ -473,11 +477,9 @@ class TraceReader:
                         )
                         codec = meta.get("__codec__")
                         if codec is not None:
-                            nbytes = (
-                                self._FRAME_HEAD + meta_len + int(codec["n"])
-                            )
+                            nbytes = self._FRAME_HEAD + int(codec["n"])
                     except (UnicodeDecodeError, ValueError, TypeError, KeyError):
-                        pass
+                        nbytes = total
                 entries.append((start, kind, nbytes))
                 self._file.seek(start + total)
             return entries

@@ -148,6 +148,33 @@ def test_events_can_be_iterated_twice(tmp_path):
     _assert_events_equal(second, first)
 
 
+# -- frame index ----------------------------------------------------------------
+
+
+def test_decoded_frame_index_weighs_payloads_not_metadata(tmp_path):
+    """Shard-planning weights: a frame without a payload weighs only its
+    header however long its meta block (a deep host call path), and a
+    compressed payload counts at its inflated length."""
+    path = _path(tmp_path)
+    deep = {"call_path": [["frame.py", line, "caller"] for line in range(200)]}
+    payload = np.zeros(4096, dtype=np.float64)
+    with TraceWriter(path) as writer:
+        writer.write_event(EVENT_MALLOC, deep, {})
+        writer.write_event(EVENT_LAUNCH, deep, {"p0": payload})
+        writer.write_event(EVENT_FREE, {}, {})
+    with TraceReader(path) as reader:
+        on_disk = reader.frame_index()
+        decoded = reader.frame_index(decoded=True)
+    head = TraceReader._FRAME_HEAD
+    assert [kind for _, kind, _ in decoded] == [
+        EVENT_MALLOC, EVENT_LAUNCH, EVENT_FREE,
+    ]
+    assert on_disk[0][2] > head + 4000  # the call path is on disk...
+    assert decoded[0][2] == decoded[2][2] == head  # ...but weighs nothing
+    assert on_disk[1][2] < payload.nbytes  # compressed on disk
+    assert decoded[1][2] == head + payload.nbytes
+
+
 # -- version negotiation ------------------------------------------------------
 
 
