@@ -40,8 +40,16 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
         )
     if pair.written_indices is not None:
         idx = np.asarray(pair.written_indices, dtype=np.int64)
-        before = before[idx]
-        after = after[idx]
+        if _is_run(idx, before.size):
+            # One ascending run of in-range indices, which is what the
+            # collector records for a whole-object memcpy or memset and
+            # for a single-interval kernel write: compare views of the
+            # run instead of gathering copies through the index array.
+            before = before[idx[0] : idx[-1] + 1]
+            after = after[idx[0] : idx[-1] + 1]
+        else:
+            before = before[idx]
+            after = after[idx]
     if before.size == 0:
         return 0.0
     # Bitwise comparison, one unsigned word per element: NaN == NaN
@@ -50,6 +58,19 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
     word = unsigned_of_width(before.dtype.itemsize)
     same = np.ascontiguousarray(before).view(word) == np.ascontiguousarray(after).view(word)
     return float(np.count_nonzero(same)) / before.size
+
+
+def _is_run(idx: np.ndarray, size: int) -> bool:
+    """Whether ``idx`` is exactly ``arange(idx[0], idx[-1] + 1)`` and
+    lies inside ``[0, size)``."""
+    return (
+        idx.ndim == 1
+        and idx.size > 0
+        and 0 <= idx[0]
+        and idx[-1] < size
+        and idx[-1] - idx[0] + 1 == idx.size
+        and bool((idx[1:] > idx[:-1]).all())
+    )
 
 
 def detect_redundant_values(

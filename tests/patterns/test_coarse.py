@@ -44,6 +44,24 @@ def test_unchanged_fraction_restricted_to_written_indices():
     assert unchanged_fraction(_pair(before, after, [5])) == 1.0
 
 
+def test_unchanged_fraction_index_runs_match_gathers():
+    """An ascending run of in-range written indices is compared through
+    views; any other index array, negative indices included, keeps the
+    gather semantics, and an out-of-range index still raises."""
+    before = np.arange(8, dtype=np.float32)
+    after = before.copy()
+    after[[1, 4, 6]] = -1.0
+    for written in (
+        [2, 3, 4, 5], list(range(8)), [6],
+        [5, 4, 3], [-3, -2, -1], [2, 2, 5, 5],
+    ):
+        idx = np.asarray(written)
+        expected = np.count_nonzero(before[idx] == after[idx]) / idx.size
+        assert unchanged_fraction(_pair(before, after, written)) == expected
+    with pytest.raises(IndexError):
+        unchanged_fraction(_pair(before, after, [6, 7, 8]))
+
+
 def test_unchanged_fraction_nan_bitwise_equal():
     """NaN == NaN counts as unchanged: comparison is over raw bits."""
     before = np.full(4, np.nan, np.float64)

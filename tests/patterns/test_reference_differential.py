@@ -214,10 +214,14 @@ def snapshot_pairs(draw):
             after[i] = draw(st.sampled_from(specials))
     uint = unsigned_of_width(dtype.itemsize)
     written = None
-    if n and draw(st.booleans()):
+    shape = draw(st.sampled_from(["all", "list", "run"])) if n else "all"
+    if shape == "list":
         written = np.array(
             draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64
         )
+    elif shape == "run":
+        lo = draw(st.integers(0, n - 1))
+        written = np.arange(lo, draw(st.integers(lo, n)), dtype=np.int64)
     return SnapshotPair(
         np.array(before, uint).view(dtype), np.array(after, uint).view(dtype), written
     )
