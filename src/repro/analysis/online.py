@@ -81,13 +81,17 @@ class OnlineAnalyzer:
         )
 
     def on_free(self, obj: DataObject) -> None:
-        """Drop the object's flow, digest, label, and group state.
+        """Drop the object's flow, digest, label, and group state."""
+        self.flow.on_free(obj.alloc_id)
+        self._forget_duplicates(obj)
+
+    def _forget_duplicates(self, obj: DataObject) -> None:
+        """Purge the object's digest, label, and reported groups.
 
         Everything keyed by the object must go: a stale label or reverse
         -index entry would let a freed object resurface in (or suppress)
         a later duplicate-values group.
         """
-        self.flow.on_free(obj.alloc_id)
         key = f"dev:{obj.alloc_id}"
         digest = self._digests.pop(key, None)
         if digest is not None:

@@ -36,7 +36,6 @@ the per-shard counter deltas.
 
 from __future__ import annotations
 
-import bisect
 import os
 import time
 from dataclasses import dataclass, field
@@ -80,14 +79,13 @@ def plan_shards(
 ) -> List[Tuple[int, int]]:
     """Partition events ``[0, len(weights))`` into contiguous ranges.
 
-    ``weights`` are per-event costs (frame bytes work well).  With the
-    default ``prefix_cost=0`` boundaries split cumulative weight as
-    evenly as contiguity allows.  A positive ``prefix_cost`` models the
-    warm-up a shard performs before its range — replaying event ``i``
-    passively costs ``prefix_cost * weights[i]`` — and places the
-    boundaries to minimise the slowest shard's total (prefix + active)
-    cost.  Returns at most ``shards`` non-empty ``(start, stop)``
-    ranges covering every event.
+    ``weights`` are per-event costs (frame bytes work well).
+    ``prefix_cost`` models the warm-up a shard performs before its
+    range — replaying event ``i`` passively costs ``prefix_cost *
+    weights[i]`` — and the boundaries minimise the slowest shard's
+    total (prefix + active) cost; with the default ``prefix_cost=0``
+    that balances the shards' own weight.  Returns at most ``shards``
+    non-empty ``(start, stop)`` ranges covering every event.
     """
     n = len(weights)
     if n == 0:
@@ -96,27 +94,8 @@ def plan_shards(
     if sum(weights) <= 0:
         weights = [1] * n
     weights = [max(int(weight), 0) for weight in weights]
-    if prefix_cost > 0 and shards > 1:
-        return _plan_with_prefix_cost(weights, shards, float(prefix_cost))
-    prefix: List[int] = []
-    total = 0
-    for weight in weights:
-        total += weight
-        prefix.append(total)
-    ranges: List[Tuple[int, int]] = []
-    start = 0
-    for k in range(1, shards):
-        target = total * k / shards
-        # prefix[b - 1] is the weight of events [0, b): the boundary is
-        # the smallest b whose left side reaches the target.
-        boundary = bisect.bisect_left(prefix, target) + 1
-        boundary = max(boundary, start + 1)
-        if boundary >= n:
-            break
-        ranges.append((start, boundary))
-        start = boundary
-    ranges.append((start, n))
-    return ranges
+    ratio = max(float(prefix_cost), 0.0)
+    return _plan_with_prefix_cost(weights, shards, ratio)
 
 
 def _split_within(
@@ -213,21 +192,7 @@ class ShardOnlineAnalyzer(OnlineAnalyzer):
             return
         self._alloc_identity.pop(obj.alloc_id, None)
         self._writer_identity.pop(obj.alloc_id, None)
-        # Digest/label/group purge, identical to the active path — a
-        # freed object must not resurface in (or suppress) a later
-        # duplicate-values group.
-        key = f"dev:{obj.alloc_id}"
-        digest = self._digests.pop(key, None)
-        if digest is not None:
-            members = self._by_digest.get(digest)
-            if members is not None:
-                members.discard(key)
-                if not members:
-                    del self._by_digest[digest]
-        self._labels.pop(key, None)
-        self._reported_groups = {
-            group for group in self._reported_groups if key not in group
-        }
+        self._forget_duplicates(obj)
 
     def on_memory_api(self, obs) -> None:
         if self.active:

@@ -58,18 +58,6 @@ class GpuFunction:
             )
         return instr
 
-    def has_pc(self, pc: int) -> bool:
-        """Whether any instruction sits at ``pc``."""
-        return pc in self._index()
-
-    @property
-    def pc_range(self) -> Tuple[int, int]:
-        """Inclusive (lowest, highest) instruction PC; raises if empty."""
-        if not self.instructions:
-            raise BinaryAnalysisError(f"function {self.name!r} is empty")
-        pcs = self._index()
-        return min(pcs), max(pcs)
-
     @property
     def memory_instructions(self) -> List[Instruction]:
         """The function's loads and stores, in program order."""

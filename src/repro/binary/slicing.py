@@ -5,8 +5,7 @@ algorithm that derives a GPU memory instruction's access type based on
 instructions with known access types on its def-use chains."
 
 The algorithm is a sparse type-lattice propagation over the SSA def-use
-graph, running on the generic worklist engine in
-:mod:`repro.staticlint.dataflow`:
+graph, driven to a fixpoint by :func:`solve_worklist`:
 
 1. Seed register types from typed opcodes (``FADD`` forces FLOAT32 on
    its data operands, ``DADD`` FLOAT64, ``IADD`` INT32, ...) and from
@@ -36,7 +35,16 @@ access width, mirroring how the tool treats opaque bit moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.errors import BinaryAnalysisError
 from repro.binary.defuse import DefUseGraph
@@ -49,7 +57,8 @@ from repro.binary.isa import (
 )
 from repro.binary.module import GpuFunction
 from repro.gpu.dtypes import DType
-from repro.staticlint.dataflow import solve_worklist
+
+N = TypeVar("N", bound=Hashable)
 
 _FALLBACK_BY_BITS = {
     8: DType.UINT8,
@@ -89,6 +98,33 @@ class TypeInference:
     conflicts: List[TypeConflict] = field(default_factory=list)
     #: Worklist evaluations the propagation needed (telemetry).
     evaluations: int = 0
+
+
+def solve_worklist(
+    nodes: Iterable[N],
+    dependents: Callable[[N], Iterable[N]],
+    process: Callable[[N], bool],
+) -> int:
+    """Chaotic iteration: run ``process`` on every node until stable.
+
+    ``process(node)`` recomputes the node's state and returns whether it
+    changed; on change, ``dependents(node)`` are re-enqueued.  Returns
+    the number of node evaluations (a cheap convergence metric the
+    telemetry layer reports).
+    """
+    pending: List[N] = list(nodes)
+    queued = set(pending)
+    evaluations = 0
+    while pending:
+        node = pending.pop()
+        queued.discard(node)
+        evaluations += 1
+        if process(node):
+            for dep in dependents(node):
+                if dep not in queued:
+                    queued.add(dep)
+                    pending.append(dep)
+    return evaluations
 
 
 def infer_register_types(
@@ -234,19 +270,6 @@ def infer_access_types(function: GpuFunction) -> Dict[int, AccessType]:
     """
     inference = infer_register_types(function, strict=True)
     return _access_types(function, inference.types)
-
-
-def infer_access_types_lenient(
-    function: GpuFunction,
-) -> Tuple[Dict[int, AccessType], List[TypeConflict]]:
-    """Like :func:`infer_access_types` but contradictions don't raise.
-
-    Conflicted registers fall back to the unsigned type of the access
-    width; the contradictions come back alongside the types so the
-    static linter can report them as findings.
-    """
-    inference = infer_register_types(function, strict=False)
-    return _access_types(function, inference.types), inference.conflicts
 
 
 def _data_register(instr: Instruction) -> Optional[Register]:

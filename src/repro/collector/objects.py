@@ -220,20 +220,6 @@ class DataObjectRegistry:
         for head, tail, oi in zip(heads, tails, obj_idx[heads].tolist()):
             yield oi, clipped[head:tail]
 
-    def assign_intervals(
-        self, merged: np.ndarray, device: int = 0
-    ) -> Dict[int, np.ndarray]:
-        """Split merged, disjoint intervals among one device's live objects.
-
-        Returns ``alloc_id -> (m, 2)`` intervals clipped to the object's
-        range, in address order of first touch.
-        """
-        objects = self.live_objects(device)
-        return {
-            objects[oi].alloc_id: piece
-            for oi, piece in self._overlaps(merged, device)
-        }
-
     def route_intervals(
         self,
         combined: np.ndarray,

@@ -182,24 +182,6 @@ def histogram(name: str, help: str = "", labelnames=(), buckets=None) -> Histogr
     return registry().histogram(name, help, labelnames, buckets)
 
 
-class enabled_scope:
-    """``with obs.enabled_scope():`` — enable within a block (tests)."""
-
-    def __init__(self, fresh: bool = True):
-        self._fresh = fresh
-        self._was_enabled = False
-
-    def __enter__(self) -> None:
-        self._was_enabled = ENABLED
-        if self._fresh:
-            reset()
-        enable()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self._was_enabled:
-            disable()
-
-
 __all__ = [
     "ENABLED",
     "Counter",
@@ -214,7 +196,6 @@ __all__ = [
     "counter",
     "disable",
     "enable",
-    "enabled_scope",
     "gauge",
     "histogram",
     "registry",

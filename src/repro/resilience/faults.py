@@ -219,28 +219,6 @@ class FaultPlan:
             plan["timing_jitter"] = float(rng.uniform(0.0, 0.2))
         return cls(seed=seed, scope=scope, **plan)
 
-    @classmethod
-    def service_chaos(cls, seed: int) -> "FaultPlan":
-        """A seed-derived plan of daemon-level faults only.
-
-        The service chaos matrix uses this: hung, slow, and crashing
-        workers plus a WAL tear, with the profiling pipeline untouched
-        (``scope="service"``) so recovered profiles stay byte-identical
-        to clean runs.
-        """
-        rng = np.random.default_rng([seed, 0x5EAF])
-        return cls(
-            seed=seed,
-            scope="service",
-            hung_worker_rate=float(rng.uniform(0.0, 0.4)),
-            slow_worker_rate=float(rng.uniform(0.0, 0.6)),
-            slow_worker_delay_s=float(rng.uniform(0.05, 0.3)),
-            worker_crash_rate=float(rng.uniform(0.0, 0.5)),
-            torn_wal_after=(
-                int(rng.integers(3, 30)) if rng.random() < 0.5 else None
-            ),
-        )
-
     def to_dict(self) -> Dict:
         """JSON-ready description (for the chaos CLI's report)."""
         return {

@@ -264,10 +264,9 @@ _cfg_cache_builds = 0
 def build_cfg(function: GpuFunction) -> ControlFlowGraph:
     """Memoized :meth:`ControlFlowGraph.build` (keyed by binary identity).
 
-    Every subsystem that needs a CFG — the lint passes, the
-    kernel-similarity fingerprinter, dataflow clients — should come
-    through here so one function is partitioned exactly once per
-    process.
+    Every subsystem that needs a CFG — the lint passes and the
+    kernel-similarity fingerprinter — should come through here so one
+    function is partitioned exactly once per process.
     """
     global _cfg_cache_hits, _cfg_cache_builds
     key = (id(function), len(function.instructions))

@@ -8,8 +8,8 @@ selection (default: all) and returns findings sorted by
 ``(pc, rule_id)`` so output is deterministic.
 
 The :class:`LintContext` caches everything passes share — the CFG, the
-def-use graph, liveness, and one lenient slicing run — so a full lint of
-a function does each analysis exactly once.
+def-use graph, and one lenient slicing run — so a full lint of a
+function does each analysis exactly once.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ from repro.binary.defuse import DefUseGraph
 from repro.binary.module import GpuFunction
 from repro.binary.slicing import TypeInference, infer_register_types
 from repro.staticlint.cfg import ControlFlowGraph, build_cfg
-from repro.staticlint.dataflow import (
-    BlockStates,
-    Liveness,
-    run_analysis,
-)
 from repro.staticlint.findings import Finding, Severity
 
 
@@ -45,9 +40,6 @@ class LintContext:
     _defuse: Optional[DefUseGraph] = field(
         default=None, repr=False, compare=False
     )
-    _liveness: Optional[BlockStates] = field(
-        default=None, repr=False, compare=False
-    )
     _inference: Optional[TypeInference] = field(
         default=None, repr=False, compare=False
     )
@@ -63,12 +55,6 @@ class LintContext:
         if self._defuse is None:
             self._defuse = DefUseGraph(self.function)
         return self._defuse
-
-    @property
-    def liveness(self) -> BlockStates:
-        if self._liveness is None:
-            self._liveness = run_analysis(Liveness(), self.cfg)
-        return self._liveness
 
     @property
     def inference(self) -> TypeInference:

@@ -4,8 +4,8 @@ Unreachable blocks (warning): no path from the entry reaches them —
 typically an unconditional branch over real code.  One finding per
 block, anchored at its first instruction.
 
-Dead registers (info): a register that is defined but never read,
-per block-level liveness.  Info, not warning, because the IR's
+Dead registers (info): a register that is defined but has no use in
+the def-use graph.  Info, not warning, because the IR's
 synthesized binaries legitimately produce them: a load site anchors the
 loaded value with a typed arithmetic instruction whose result nothing
 consumes (the anchor exists to give the slicer a type seed, not to

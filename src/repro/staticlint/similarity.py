@@ -88,11 +88,6 @@ _CLASS_INDEX: Dict[str, int] = {
 }
 
 
-def opcode_class(opcode: Opcode) -> str:
-    """The histogram class of one opcode."""
-    return _OPCODE_CLASSES[opcode]
-
-
 # -- fingerprints ------------------------------------------------------------
 
 

@@ -200,13 +200,13 @@ class TraceWriter:
             if key is not None:
                 desc["dkey"] = key
                 previous = self._delta_state.get(key)
+                self._delta_state[key] = raw_bytes
                 if previous is not None and len(previous) == nbytes:
                     raw_bytes = np.bitwise_xor(
-                        np.frombuffer(raw.tobytes(), dtype=np.uint8),
+                        np.frombuffer(raw_bytes, dtype=np.uint8),
                         np.frombuffer(previous, dtype=np.uint8),
                     ).tobytes()
                     desc["delta"] = True
-                self._delta_state[key] = raw.tobytes()
             descriptors[name] = desc
             chunks.append(raw_bytes)
             offset += nbytes

@@ -4,7 +4,7 @@ import pytest
 
 from repro.binary.isa import AccessType, Opcode
 from repro.binary.module import BinaryBuilder
-from repro.binary.slicing import infer_access_types
+from repro.binary.slicing import infer_access_types, solve_worklist
 from repro.errors import BinaryAnalysisError
 from repro.gpu.dtypes import DType
 
@@ -161,3 +161,31 @@ def test_every_memory_instruction_gets_a_type():
     memory_ops.append(b.stg(out, width_bits=32))
     types = infer_access_types(b.build())
     assert set(types) == {op.pc for op in memory_ops}
+
+
+def test_solve_worklist_chases_dependents_to_fixpoint():
+    # Longest-path heights over a diamond a -> {b, c} -> d.
+    edges = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
+    preds = {"a": [], "b": ["a"], "c": ["a"], "d": ["b", "c"]}
+    height = {node: 0 for node in edges}
+
+    def process(node):
+        new = max((height[p] + 1 for p in preds[node]), default=0)
+        if new != height[node]:
+            height[node] = new
+            return True
+        return False
+
+    evaluations = solve_worklist(list(edges), lambda n: edges[n], process)
+    assert height == {"a": 0, "b": 1, "c": 1, "d": 2}
+    # Every node is evaluated at least once, and the engine terminated.
+    assert evaluations >= 4
+
+
+def test_solve_worklist_does_not_requeue_stable_nodes():
+    calls = []
+    evaluations = solve_worklist(
+        [1, 2, 3], lambda n: [1, 2, 3], lambda n: calls.append(n) or False
+    )
+    assert evaluations == 3
+    assert sorted(calls) == [1, 2, 3]

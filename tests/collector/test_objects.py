@@ -18,6 +18,14 @@ def registry():
     return DataObjectRegistry()
 
 
+def _assign(registry, merged):
+    """``alloc_id -> clipped intervals``: the combined pieces the binder
+    routes when there are no read or write intervals."""
+    empty = np.empty((0, 2), dtype=np.uint64)
+    routed = registry.route_intervals(merged, empty, empty)
+    return {alloc_id: route.combined for alloc_id, route in routed.items()}
+
+
 def test_registration_records_metadata(memory, registry):
     alloc = memory.malloc(1024, dtype=DType.FLOAT32, label="arr")
     obj = registry.on_malloc(alloc, None)
@@ -69,7 +77,7 @@ def test_assign_intervals_to_objects(memory, registry):
         [[a.address, a.address + 64], [b.address + 8, b.address + 16]],
         dtype=np.uint64,
     )
-    assigned = registry.assign_intervals(merged)
+    assigned = _assign(registry, merged)
     assert assigned[a.alloc_id].tolist() == [[a.address, a.address + 64]]
     assert assigned[b.alloc_id].tolist() == [[b.address + 8, b.address + 16]]
 
@@ -83,7 +91,7 @@ def test_assign_interval_spanning_two_objects(memory, registry):
     if a.end != b.address:
         pytest.skip("allocator placed objects non-adjacently")
     merged = np.array([[a.address + 128, b.address + 128]], dtype=np.uint64)
-    assigned = registry.assign_intervals(merged)
+    assigned = _assign(registry, merged)
     assert assigned[a.alloc_id].tolist() == [[a.address + 128, a.end]]
     assert assigned[b.alloc_id].tolist() == [[b.address, b.address + 128]]
 
@@ -92,11 +100,11 @@ def test_assign_intervals_outside_objects_dropped(memory, registry):
     a = memory.malloc(256)
     registry.on_malloc(a, None)
     merged = np.array([[a.end + 4096, a.end + 4100]], dtype=np.uint64)
-    assert registry.assign_intervals(merged) == {}
+    assert _assign(registry, merged) == {}
 
 
 def test_assign_intervals_empty(registry):
-    assert registry.assign_intervals(np.empty((0, 2), dtype=np.uint64)) == {}
+    assert _assign(registry, np.empty((0, 2), dtype=np.uint64)) == {}
 
 
 def test_all_objects_ordered_by_id(memory, registry):
