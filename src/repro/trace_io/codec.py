@@ -17,9 +17,20 @@ captured:
   footer, so offline access-type slicing works without importing any
   workload code.
 
+From format v4 on, an access record's ``r<i>.val`` column is always
+stored, and its length ``n`` is the record's count.  The other three
+columns are left out when the launch implies them exactly, and the
+record's meta says how to rebuild them:
+
+- ``"tid": "arange"`` — thread ids are ``arange(n)``;
+- ``"blk": "tid//block"`` — block ids are the thread ids floor-divided
+  by the launch's ``block``;
+- ``"addr": [first, step]`` — addresses are ``first + step * arange(n)``
+  modulo 2**64 (a descending run has a step past 2**63).
+
 Decoding of full events lives in :mod:`repro.trace_io.replayer`, which
 owns the replay-side allocation state; this module only decodes the
-stateless pieces (call paths, dtypes, kernels).
+stateless pieces (call paths, dtypes, access records, kernels).
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from repro.trace_io.format import (
     EVENT_MALLOC,
     EVENT_MEMCPY,
     EVENT_MEMSET,
+    VERSION,
     ArrayDict,
 )
 from repro.utils.callpath import CallPath, Frame
@@ -105,11 +117,44 @@ def _common_meta(event: ApiEvent) -> dict:
     }
 
 
+# -- implied record columns (format v4) ----------------------------------------
+
+#: Record-meta markers of the v4 columns a launch implies.
+IMPLIED_TIDS = "arange"
+IMPLIED_BLOCKS = "tid//block"
+
+_U64_LIMIT = 1 << 64
+_I64_LIMIT = 1 << 63
+
+
+def _ramp(first: int, step: int, n: int) -> np.ndarray:
+    """``first + step * arange(n)`` modulo 2**64, as uint64."""
+    run = np.arange(n, dtype=np.uint64)
+    run *= np.uint64(step)
+    run += np.uint64(first)
+    return run
+
+
+def _address_run(addresses: np.ndarray) -> Optional[List[int]]:
+    """``[first, step]`` when ``addresses`` is one run."""
+    n = len(addresses)
+    first = int(addresses[0]) if n else 0
+    step = (int(addresses[1]) - first) % _U64_LIMIT if n > 1 else 0
+    # The last address rules out most scattered records cheaply.
+    if n > 1 and int(addresses[-1]) != (first + step * (n - 1)) % _U64_LIMIT:
+        return None
+    if not np.array_equal(addresses, _ramp(first, step, n)):
+        return None
+    return [first, step]
+
+
 # -- event encoding -----------------------------------------------------------
 
 
-def encode_event(event: ApiEvent) -> Tuple[int, dict, ArrayDict]:
-    """Encode one post-effect API event as a trace frame."""
+def encode_event(
+    event: ApiEvent, version: int = VERSION
+) -> Tuple[int, dict, ArrayDict]:
+    """Encode one post-effect API event as a frame of format ``version``."""
     meta = _common_meta(event)
     arrays: ArrayDict = {}
     if isinstance(event, MallocEvent):
@@ -137,12 +182,14 @@ def encode_event(event: ApiEvent) -> Tuple[int, dict, ArrayDict]:
         meta["nbytes"] = int(event.nbytes)
         return EVENT_MEMSET, meta, arrays
     if isinstance(event, KernelLaunchEvent):
-        _encode_launch(event, meta, arrays)
+        _encode_launch(event, meta, arrays, version)
         return EVENT_LAUNCH, meta, arrays
     raise TraceError(f"cannot encode event type {type(event).__name__}")
 
 
-def _encode_launch(event: KernelLaunchEvent, meta: dict, arrays: ArrayDict) -> None:
+def _encode_launch(
+    event: KernelLaunchEvent, meta: dict, arrays: ArrayDict, version: int
+) -> None:
     meta["kernel"] = event.kernel.name
     meta["grid"] = int(event.grid)
     meta["block"] = int(event.block)
@@ -176,21 +223,10 @@ def _encode_launch(event: KernelLaunchEvent, meta: dict, arrays: ArrayDict) -> N
         }
         for alloc, nread, nwritten in event.touched
     ]
-    records_meta = []
-    for index, record in enumerate(event.records):
-        records_meta.append(
-            {
-                "pc": int(record.pc),
-                "kind": record.kind.value,
-                "dtype": dtype_name(record.dtype),
-                "kernel_name": record.kernel_name,
-            }
-        )
-        arrays[f"r{index}.addr"] = np.asarray(record.addresses, dtype=np.uint64)
-        arrays[f"r{index}.val"] = np.asarray(record.values)
-        arrays[f"r{index}.tid"] = np.asarray(record.thread_ids, dtype=np.int64)
-        arrays[f"r{index}.blk"] = np.asarray(record.block_ids, dtype=np.int64)
-    meta["records"] = records_meta
+    meta["records"] = [
+        _encode_record(record, index, int(event.block), version, arrays)
+        for index, record in enumerate(event.records)
+    ]
     # Post-launch device state of every written (still-live) allocation:
     # replay restores state by writing these back, no kernel execution.
     post = []
@@ -202,6 +238,48 @@ def _encode_launch(event: KernelLaunchEvent, meta: dict, arrays: ArrayDict) -> N
         )
         arrays[f"p{len(post) - 1}"] = alloc.read_all()
     meta["post"] = post
+
+
+def _encode_record(
+    record: AccessRecord, index: int, block: int, version: int, arrays: ArrayDict
+) -> dict:
+    """One access record's meta; its stored columns go into ``arrays``.
+
+    From v4 on, the columns the launch implies are left out and marked
+    in the meta instead (see the module docstring).
+    """
+    record_meta = {
+        "pc": int(record.pc),
+        "kind": record.kind.value,
+        "dtype": dtype_name(record.dtype),
+        "kernel_name": record.kernel_name,
+    }
+    columns = {
+        "addr": np.asarray(record.addresses, dtype=np.uint64),
+        "val": np.asarray(record.values),
+        "tid": np.asarray(record.thread_ids, dtype=np.int64),
+        "blk": np.asarray(record.block_ids, dtype=np.int64),
+    }
+    implied = _implied_columns(columns, block) if version >= 4 else {}
+    record_meta.update(implied)
+    for column, array in columns.items():
+        if column not in implied:
+            arrays[f"r{index}.{column}"] = array
+    return record_meta
+
+
+def _implied_columns(columns: ArrayDict, block: int) -> dict:
+    """Markers for the columns a record's launch implies exactly."""
+    n = len(columns["val"])
+    implied = {}
+    run = _address_run(columns["addr"])
+    if run is not None:
+        implied["addr"] = run
+    if np.array_equal(columns["tid"], np.arange(n, dtype=np.int64)):
+        implied["tid"] = IMPLIED_TIDS
+    if block > 0 and np.array_equal(columns["blk"], columns["tid"] // block):
+        implied["blk"] = IMPLIED_BLOCKS
+    return implied
 
 
 def delta_keys_for(kind: int, meta: dict) -> Dict[str, str]:
@@ -229,17 +307,90 @@ def released_delta_keys(kind: int, meta: dict) -> List[str]:
     return [f"post:{alloc['alloc_id']}:{alloc['address']}"]
 
 
-def decode_access_record(record_meta: dict, arrays: ArrayDict, index: int) -> AccessRecord:
-    """Rebuild one access record from its frame slice."""
+def record_arrays(record_meta: dict, index: int) -> List[str]:
+    """Names of the arrays record ``index`` of a launch frame must carry.
+
+    A v4 record names the columns its launch implies in its meta; those
+    have no array.
+    """
+    return [
+        f"r{index}.{column}"
+        for column in ("addr", "val", "tid", "blk")
+        if column not in record_meta
+    ]
+
+
+def _record_length(values: np.ndarray, index: int) -> int:
+    """The count of a record with implied columns: ``len(r<i>.val)``."""
+    if values.ndim != 1:
+        raise TraceError(
+            f"record {index}: r{index}.val must be one-dimensional, got "
+            f"shape {list(values.shape)}"
+        )
+    return values.shape[0]
+
+
+def decode_access_record(
+    record_meta: dict, arrays: ArrayDict, index: int, block: Optional[int] = None
+) -> AccessRecord:
+    """Rebuild one access record from its frame slice.
+
+    ``block`` is the launch's block size; a v4 record whose block ids
+    are implied needs it.  Columns the record's meta marks implied are
+    rebuilt from ``len(r<i>.val)``; an implied column with a malformed
+    marker is a :class:`TraceError`.
+    """
+    values = arrays[f"r{index}.val"]
+    if "addr" in record_meta:
+        run = record_meta["addr"]
+        if not (
+            type(run) is list
+            and len(run) == 2
+            and all(type(v) is int and 0 <= v < _U64_LIMIT for v in run)
+        ):
+            raise TraceError(
+                f"record {index}: implied addresses need [first, step] "
+                f"in [0, 2**64), got {run!r}"
+            )
+        addresses = _ramp(run[0], run[1], _record_length(values, index))
+    else:
+        addresses = arrays[f"r{index}.addr"]
+    if "tid" in record_meta:
+        if record_meta["tid"] != IMPLIED_TIDS:
+            raise TraceError(
+                f"record {index}: unknown thread-id marker "
+                f"{record_meta['tid']!r}"
+            )
+        thread_ids = np.arange(_record_length(values, index), dtype=np.int64)
+    else:
+        thread_ids = arrays[f"r{index}.tid"]
+    if "blk" in record_meta:
+        if record_meta["blk"] != IMPLIED_BLOCKS:
+            raise TraceError(
+                f"record {index}: unknown block-id marker "
+                f"{record_meta['blk']!r}"
+            )
+        if type(block) is not int or not 0 < block < _I64_LIMIT:
+            raise TraceError(
+                f"record {index}: implied block ids need a positive int "
+                f"launch block, got {block!r}"
+            )
+        if thread_ids.dtype != np.int64 or thread_ids.ndim != 1:
+            raise TraceError(
+                f"record {index}: implied block ids need int64 thread ids"
+            )
+        block_ids = thread_ids // block
+    else:
+        block_ids = arrays[f"r{index}.blk"]
     return AccessRecord(
         pc=record_meta["pc"],
         kind=AccessKind(record_meta["kind"]),
-        addresses=arrays[f"r{index}.addr"],
-        values=arrays[f"r{index}.val"],
+        addresses=addresses,
+        values=values,
         dtype=dtype_from_name(record_meta["dtype"]),
         kernel_name=record_meta["kernel_name"],
-        thread_ids=arrays[f"r{index}.tid"],
-        block_ids=arrays[f"r{index}.blk"],
+        thread_ids=thread_ids,
+        block_ids=block_ids,
     )
 
 

@@ -37,6 +37,12 @@ originating **device** to every frame: the common event meta gains a
 ``"device"`` key and allocation descriptors gain ``"device"``.  v1/v2
 traces lack the keys and decode as device 0.
 
+Format v4 keeps the v3 container and payload encoding; only launch
+frames change.  An access record's thread ids, block ids and address
+run are left out of the payload when the launch implies them, and the
+record's meta names how to rebuild them (see
+:mod:`repro.trace_io.codec`).
+
 Numpy arrays still round-trip bit-exactly, the metadata stays
 greppable JSON, and a reader can skip any frame without parsing its
 payload.  Versioning rules live in ``docs/trace.md``: the version is
@@ -50,7 +56,8 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,9 +65,9 @@ from repro.errors import TraceError
 
 MAGIC = b"VETRACE\0"
 #: Default (current) format version written by :class:`TraceWriter`.
-VERSION = 3
+VERSION = 4
 #: Versions this reader generation can decode.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3})
+SUPPORTED_VERSIONS = frozenset({1, 2, 3, 4})
 
 #: Event kinds, one per intercepted GPU API.
 EVENT_MALLOC = 1
@@ -125,12 +132,27 @@ def _inflate(payload: bytes, codec: dict) -> bytes:
     return raw
 
 
+#: Raw payload bytes a writer lets the deflate worker hold before the
+#: caller waits on the oldest frame (the newest frame never waits).
+MAX_IN_FLIGHT_BYTES = 8 << 20
+
+
 class TraceWriter:
     """Streams events into a ``.vetrace`` file.
 
     The footer offset is written as 0 up front and patched by
     :meth:`close`, so an unclosed (crashed) trace is detectably
     truncated rather than silently short.
+
+    From v2 on, frame payloads are deflated on one worker thread while
+    the caller goes on encoding events.  Frames still reach the file in
+    order, and all file I/O stays on the caller's thread: a frame is
+    written once its own and every earlier frame's compression is done.
+    The newest frame may always be in flight; older ones make the
+    caller wait only while the raw bytes in flight exceed
+    :data:`MAX_IN_FLIGHT_BYTES`.  :meth:`close` and :meth:`tear` write
+    every pending frame first, so frames still compressing are lost
+    only if the process dies before either runs.
     """
 
     def __init__(
@@ -154,6 +176,18 @@ class TraceWriter:
         #: delta key -> raw bytes of the last payload written under it
         #: (v2 only; see :meth:`write_event`).
         self._delta_state: Dict[str, bytes] = {}
+        #: Frames not yet on disk, oldest first:
+        #: ``(kind, meta, payload, compression future or None)``.
+        self._pending: Deque[tuple] = deque()
+        #: Raw payload bytes of the frames whose compression is pending.
+        self._in_flight = 0
+        self._deflater = None
+        if version >= 2:
+            # Imported here: importing concurrent.futures costs ~12 ms,
+            # which only a writer of compressed frames should pay.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._deflater = ThreadPoolExecutor(max_workers=1)
         self._file.write(MAGIC)
         self._file.write(_U32.pack(version))
         self._file.write(_U64.pack(0))
@@ -175,6 +209,10 @@ class TraceWriter:
         length matches the previous payload written under the same key
         is stored as the XOR against that payload; readers reverse the
         XOR statefully.  v1 writers ignore ``delta_keys`` entirely.
+
+        The arrays are copied into the payload before this returns, but
+        ``meta`` is serialized only when the frame reaches the file, so
+        the caller must not mutate it afterwards.
         """
         if self.torn:
             # A torn writer models a dead recording process: later
@@ -213,18 +251,54 @@ class TraceWriter:
         meta = dict(meta)
         meta["__arrays__"] = descriptors
         payload = b"".join(chunks)
+        deflated = None
         if use_v2 and payload:
-            compressed = zlib.compress(payload, 1)
-            if len(compressed) < len(payload):
-                meta["__codec__"] = {"c": "zlib", "n": len(payload)}
-                payload = compressed
-        meta_bytes = _dump_json(meta)
-        self._file.write(_U32.pack(kind))
-        self._file.write(_U32.pack(len(meta_bytes)))
-        self._file.write(_U64.pack(len(payload)))
-        self._file.write(meta_bytes)
-        self._file.write(payload)
+            deflated = self._deflater.submit(zlib.compress, payload, 1)
+            self._in_flight += len(payload)
+        self._pending.append((kind, meta, payload, deflated))
         self.events_written += 1
+        self._write_ready(drain=False)
+
+    def _write_ready(self, drain: bool) -> None:
+        """Write pending frames to the file, oldest first.
+
+        A frame still being compressed ends the walk, unless ``drain``
+        is set, or it is not the newest frame and more than
+        :data:`MAX_IN_FLIGHT_BYTES` of raw payload are in flight; then
+        the caller waits for it.
+        """
+        pending = self._pending
+        while pending:
+            kind, meta, payload, deflated = pending[0]
+            if (
+                deflated is not None
+                and not drain
+                and not deflated.done()
+                and (len(pending) == 1 or self._in_flight <= MAX_IN_FLIGHT_BYTES)
+            ):
+                return
+            pending.popleft()
+            if deflated is not None:
+                self._in_flight -= len(payload)
+                compressed = deflated.result()
+                if len(compressed) < len(payload):
+                    meta["__codec__"] = {"c": "zlib", "n": len(payload)}
+                    payload = compressed
+            meta_bytes = _dump_json(meta)
+            self._file.write(_U32.pack(kind))
+            self._file.write(_U32.pack(len(meta_bytes)))
+            self._file.write(_U64.pack(len(payload)))
+            self._file.write(meta_bytes)
+            self._file.write(payload)
+
+    def _finish(self) -> None:
+        """Write every pending frame, then stop the deflate worker."""
+        try:
+            self._write_ready(drain=True)
+        finally:
+            if self._deflater is not None:
+                self._deflater.shutdown()
+                self._deflater = None
 
     def release_delta(self, key: str) -> None:
         """Drop the delta base held for ``key`` (e.g. after a free)."""
@@ -234,9 +308,11 @@ class TraceWriter:
     def bytes_written(self) -> int:
         """Bytes written to the file so far.
 
-        A torn writer reports 0 (the recording is dead); a closed
-        writer reports the final file size, so telemetry sampled after
-        :meth:`close` still sees the trace it produced.
+        Frames still being compressed are not on disk yet, so during a
+        recording this lags :attr:`events_written`.  A torn writer
+        reports 0 (the recording is dead); a closed writer reports the
+        final file size, so telemetry sampled after :meth:`close` still
+        sees the trace it produced.
         """
         if self.torn:
             return 0
@@ -247,21 +323,25 @@ class TraceWriter:
     def tear(self) -> None:
         """Simulate the writing process dying mid-frame.
 
-        A partial frame header (a plausible kind, then nothing) is left
-        on disk, the footer offset is never patched, and the writer goes
-        dead: subsequent :meth:`write_event`/:meth:`close` calls are
-        no-ops.  A plain :class:`TraceReader` refuses the result; a
-        salvaging reader recovers every frame before the tear.
+        Every frame already handed to :meth:`write_event` is written
+        first, then a partial frame header (a plausible kind, then
+        nothing) is left on disk, the footer offset is never patched,
+        and the writer goes dead: subsequent
+        :meth:`write_event`/:meth:`close` calls are no-ops.  A plain
+        :class:`TraceReader` refuses the result; a salvaging reader
+        recovers exactly :attr:`events_written` frames.
         """
         if self._closed or self.torn:
             return
+        self._finish()
         self._file.write(_U32.pack(EVENT_LAUNCH))
         self._file.write(b"\x7f\x03")
         self._file.close()
         self.torn = True
 
     def close(self, footer: Optional[dict] = None) -> int:
-        """Write the footer, patch its offset, and close the file.
+        """Write pending frames and the footer, patch its offset, and
+        close the file.
 
         Returns the final file size in bytes.
         """
@@ -269,6 +349,7 @@ class TraceWriter:
             return 0
         if self._closed:
             raise TraceError(f"trace {self.path!r} is already closed")
+        self._finish()
         footer = dict(footer or {})
         footer.setdefault("events", self.events_written)
         footer_offset = self._file.tell()
@@ -448,7 +529,9 @@ class TraceReader:
         tracks decoded payload bytes, not disk bytes — v2's
         zlib/XOR-delta encoding shrinks repetitive frames dramatically
         on disk without making them cheaper to apply — so shard
-        planning should weigh with decoded sizes.  The meta block is
+        planning should weigh with decoded sizes.  The record columns a
+        v4 launch implies are not in the payload, so they do not count
+        either, though replay rebuilds them.  The meta block is
         left out: its size follows the recorded host call path, so under
         a deep host stack even a malloc or free frame carries kilobytes
         of it, while replaying one costs a small fraction of a launch.

@@ -97,7 +97,7 @@ class TraceRecorder(RuntimeListener):
         """Serialize one post-effect event."""
         if isinstance(event, KernelLaunchEvent):
             self._kernels.setdefault(event.kernel.name, event.kernel)
-        kind, meta, arrays = encode_event(event)
+        kind, meta, arrays = encode_event(event, self._writer.version)
         self._writer.write_event(
             kind, meta, arrays, delta_keys=delta_keys_for(kind, meta)
         )

@@ -54,6 +54,7 @@ from repro.trace_io.codec import (
     decode_call_path,
     decode_kernel,
     dtype_from_name,
+    record_arrays,
     stub_kernel,
 )
 from repro.trace_io.format import (
@@ -62,8 +63,85 @@ from repro.trace_io.format import (
     EVENT_MALLOC,
     EVENT_MEMCPY,
     EVENT_MEMSET,
+    EVENT_NAMES,
     TraceReader,
 )
+
+#: Meta keys replay reads, per event kind (after the common ones).
+_COMMON_KEYS = ("seq", "time_s", "annotation", "stream", "call_path")
+_EVENT_KEYS = {
+    EVENT_MALLOC: ("alloc",),
+    EVENT_FREE: ("alloc",),
+    EVENT_MEMCPY: ("kind", "nbytes", "dst", "src"),
+    EVENT_MEMSET: ("alloc", "byte_value", "nbytes"),
+    EVENT_LAUNCH: (
+        "kernel", "grid", "block", "shared_ranges", "stats", "touched",
+        "records", "post",
+    ),
+}
+_ALLOC_KEYS = ("alloc_id", "address", "size", "dtype", "label")
+_TOUCHED_KEYS = ("alloc", "nread", "nwritten")
+_RECORD_KEYS = ("pc", "kind", "dtype", "kernel_name")
+_POST_KEYS = ("alloc_id", "address")
+
+
+class _MissingKey(Exception):
+    """A frame lacks a key its replay reads (the message names it)."""
+
+
+def _require(obj, keys, where: str) -> None:
+    """Raise :class:`_MissingKey` unless the JSON object ``obj`` has ``keys``."""
+    if not isinstance(obj, dict):
+        raise _MissingKey(f"{where!r} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            path = f"{where}.{key}" if where else key
+            raise _MissingKey(f"lacks key {path!r}")
+
+
+def _listed(meta: dict, name: str) -> list:
+    """``meta[name]``, which must be a JSON list."""
+    entries = meta[name]
+    if not isinstance(entries, list):
+        raise _MissingKey(f"{name!r} is not a JSON list")
+    return entries
+
+
+def _check_frame(kind: int, meta: dict, arrays: dict) -> None:
+    """Raise :class:`_MissingKey` if replaying the frame would read a meta
+    key, descriptor key or array the frame lacks.
+
+    Only presence is checked (and that the containers holding the keys
+    are JSON objects and lists); ill-typed values are left to the code
+    that reads them.
+    """
+    _require(meta, _COMMON_KEYS + _EVENT_KEYS[kind], "")
+    if kind == EVENT_MEMCPY:
+        if "host" in arrays:
+            _require(meta, ("host_label",), "")
+        elif (
+            meta["kind"] == MemcpyKind.HOST_TO_DEVICE.value
+            and meta["dst"] is not None
+        ):
+            raise _MissingKey("lacks array 'host'")
+        for name in ("dst", "src"):
+            if meta[name] is not None:
+                _require(meta[name], _ALLOC_KEYS, name)
+    elif kind == EVENT_LAUNCH:
+        for index, entry in enumerate(_listed(meta, "touched")):
+            _require(entry, _TOUCHED_KEYS, f"touched[{index}]")
+            _require(entry["alloc"], _ALLOC_KEYS, f"touched[{index}].alloc")
+        for index, record in enumerate(_listed(meta, "records")):
+            _require(record, _RECORD_KEYS, f"records[{index}]")
+            for name in record_arrays(record, index):
+                if name not in arrays:
+                    raise _MissingKey(f"lacks array {name!r}")
+        for index, entry in enumerate(_listed(meta, "post")):
+            _require(entry, _POST_KEYS, f"post[{index}]")
+            if f"p{index}" not in arrays:
+                raise _MissingKey(f"lacks array 'p{index}'")
+    else:
+        _require(meta["alloc"], _ALLOC_KEYS, "alloc")
 
 
 class _ReplayArena:
@@ -177,8 +255,13 @@ class TraceReplayer:
         return self._reader.frame_index(decoded=decoded)
 
     def apply_event(self, kind: int, meta: dict, arrays: dict) -> None:
-        """Apply one decoded frame: update state, emit to listeners."""
-        self._replay_one(kind, meta, arrays)
+        """Apply one decoded frame: update state, emit to listeners.
+
+        Frames are numbered by how many this replayer has applied, so
+        an error names the right event when the frames come in order
+        from the first.
+        """
+        self._replay_one(self.events_replayed, kind, meta, arrays)
         self.events_replayed += 1
 
     def replay(self, start: int = 0, stop: Optional[int] = None) -> int:
@@ -213,7 +296,7 @@ class TraceReplayer:
                 if muted is not None and index == start:
                     self.listeners = muted
                     muted = None
-                self._replay_one(kind, meta, arrays)
+                self._replay_one(index, kind, meta, arrays)
                 count += 1
         finally:
             if muted is not None:
@@ -249,7 +332,17 @@ class TraceReplayer:
 
     # -- event dispatch ------------------------------------------------------
 
-    def _replay_one(self, kind: int, meta: dict, arrays: dict) -> None:
+    def _replay_one(self, index: int, kind: int, meta: dict, arrays: dict) -> None:
+        """Replay event ``index``, refusing it before any listener sees
+        it when it lacks a key its replay reads."""
+        if kind in _EVENT_KEYS:
+            try:
+                _check_frame(kind, meta, arrays)
+            except _MissingKey as exc:
+                raise TraceError(
+                    f"event {index} ({EVENT_NAMES[kind]}) in {self.path!r} "
+                    f"{exc}"
+                ) from None
         if kind == EVENT_MALLOC:
             self._replay_malloc(meta)
         elif kind == EVENT_FREE:
@@ -450,7 +543,9 @@ class TraceReplayer:
         """
         records = []
         for index, record_meta in enumerate(meta["records"]):
-            record = decode_access_record(record_meta, arrays, index)
+            record = decode_access_record(
+                record_meta, arrays, index, meta["block"]
+            )
             if len(record.block_ids) != record.count or len(
                 record.thread_ids
             ) != record.count:

@@ -9,6 +9,7 @@ closed writer reports its final file size instead of 0.
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -209,7 +210,9 @@ def test_reader_names_supported_versions(tmp_path):
     data[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 99)
     with open(path, "wb") as handle:
         handle.write(data)
-    with pytest.raises(TraceError, match=r"\[1, 2, 3\]"):
+    with pytest.raises(
+        TraceError, match=re.escape(str(sorted(SUPPORTED_VERSIONS)))
+    ):
         TraceReader(path)
 
 

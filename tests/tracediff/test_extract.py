@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.trace_io import VERSION
 from repro.tracediff import diff_traces, extract_summary
 
 
@@ -20,7 +21,7 @@ def bfs_trace(tmp_path_factory):
 def test_extract_summary_facts(bfs_trace):
     summary = extract_summary(bfs_trace)
     assert summary.workload == "rodinia/bfs"
-    assert summary.version in (2, 3)
+    assert summary.version == VERSION
     assert summary.kernels, "no kernels extracted"
     for name, function in summary.kernels.items():
         assert function.instructions, name
