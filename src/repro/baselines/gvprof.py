@@ -23,10 +23,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.errors import CollectionError
 from repro.gpu.accesses import AccessKind
 from repro.gpu.kernel import Kernel
-from repro.gpu.runtime import ApiEvent, GpuRuntime, KernelLaunchEvent, RuntimeListener
+from repro.gpu.runtime import ApiEvent, KernelLaunchEvent, RuntimeListener
 
 
 @dataclass
@@ -98,29 +97,11 @@ class GvprofProfiler(RuntimeListener):
 
     def __init__(self):
         self.report = GvprofReport()
-        self._runtime: GpuRuntime = None
-
-    # -- attachment ------------------------------------------------------
-
-    def attach(self, runtime: GpuRuntime) -> None:
-        """Subscribe to a runtime's API bus."""
-        if self._runtime is not None:
-            raise CollectionError("GVProf profiler already attached")
-        runtime.subscribe(self)
-        self._runtime = runtime
-
-    def detach(self) -> None:
-        """Unsubscribe from the runtime."""
-        if self._runtime is None:
-            raise CollectionError("GVProf profiler is not attached")
-        self._runtime.unsubscribe(self)
-        self._runtime = None
 
     # -- RuntimeListener ----------------------------------------------------
 
     def instrument_kernel(self, kernel: Kernel, grid: int, block: int) -> bool:
         """GVProf instruments every kernel, every launch."""
-        # GVProf instruments every kernel, every launch.
         return True
 
     def on_api_end(self, event: ApiEvent) -> None:

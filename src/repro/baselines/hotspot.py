@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.errors import CollectionError
 from repro.gpu.runtime import (
     ApiEvent,
-    GpuRuntime,
     KernelLaunchEvent,
     MemcpyEvent,
     MemsetEvent,
@@ -62,21 +60,6 @@ class HotspotProfiler(RuntimeListener):
 
     def __init__(self):
         self.report = HotspotReport()
-        self._runtime: GpuRuntime = None
-
-    def attach(self, runtime: GpuRuntime) -> None:
-        """Subscribe to a runtime's API bus."""
-        if self._runtime is not None:
-            raise CollectionError("hotspot profiler already attached")
-        runtime.subscribe(self)
-        self._runtime = runtime
-
-    def detach(self) -> None:
-        """Unsubscribe from the runtime."""
-        if self._runtime is None:
-            raise CollectionError("hotspot profiler is not attached")
-        self._runtime.unsubscribe(self)
-        self._runtime = None
 
     def on_api_end(self, event: ApiEvent) -> None:
         """Accumulate the event's modelled time."""

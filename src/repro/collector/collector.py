@@ -36,14 +36,12 @@ from repro.collector.gpubuffer import ProfilingBuffer
 from repro.collector.objects import DataObject, DataObjectRegistry
 from repro.collector.sampling import KernelSampler, SamplingConfig
 from repro.collector.snapshots import SnapshotStore
-from repro.errors import CollectionError
 from repro.gpu.accesses import AccessRecord
 from repro.gpu.dtypes import DType
 from repro.gpu.kernel import Kernel
 from repro.gpu.runtime import (
     ApiEvent,
     FreeEvent,
-    GpuRuntime,
     HostArray,
     KernelLaunchEvent,
     MallocEvent,
@@ -227,7 +225,6 @@ class DataCollector(RuntimeListener):
         #: CPU-mirror budget; exceeding it descends the degradation
         #: ladder (full -> sampled -> coarse-only -> quarantined).
         self.memory_budget_bytes = memory_budget_bytes
-        self._runtime: Optional[GpuRuntime] = None
         #: When False (sharded analysis warming up over another shard's
         #: prefix), the collector still runs its full pipeline — mirror
         #: refreshes, digests, sampler state must stay byte-identical to
@@ -244,22 +241,6 @@ class DataCollector(RuntimeListener):
         self._forced_block_period: Optional[int] = None
         #: Rung 3 dropped the CPU mirrors; do not re-track objects.
         self._mirrors_evicted = False
-
-    # -- attachment -------------------------------------------------------
-
-    def attach(self, runtime: GpuRuntime) -> None:
-        """Subscribe to a runtime's API bus."""
-        if self._runtime is not None:
-            raise CollectionError("collector is already attached")
-        runtime.subscribe(self)
-        self._runtime = runtime
-
-    def detach(self) -> None:
-        """Unsubscribe from the runtime's API bus."""
-        if self._runtime is None:
-            raise CollectionError("collector is not attached")
-        self._runtime.unsubscribe(self)
-        self._runtime = None
 
     # -- RuntimeListener -----------------------------------------------------
 
@@ -400,15 +381,7 @@ class DataCollector(RuntimeListener):
         if event.src_alloc is not None:
             obj = self._ensure_tracked(event.src_alloc)
             obs.reads.append(ObjectRead(obj=obj, nbytes=event.nbytes))
-        self._sync_snapshot_counters()
-        if span is not None:
-            span.end()
-            telemetry.counter(
-                "repro_collector_memory_apis_total",
-                "Memory APIs (memcpy/memset) processed by the collector.",
-                labelnames=("api",),
-            ).labels(api="memcpy").inc()
-        self.analyzer.on_memory_api(obs)
+        self._finish_memory_api(obs, span)
 
     def _handle_memset(self, event: MemsetEvent) -> None:
         span = (
@@ -427,6 +400,10 @@ class DataCollector(RuntimeListener):
         )
         obj = self._ensure_tracked(event.alloc)
         obs.writes.append(self._write_through_range(obj, event.nbytes))
+        self._finish_memory_api(obs, span)
+
+    def _finish_memory_api(self, obs: MemoryApiObservation, span) -> None:
+        """Close a memcpy/memset's span and hand its observation on."""
         self._sync_snapshot_counters()
         if span is not None:
             span.end()
@@ -434,7 +411,7 @@ class DataCollector(RuntimeListener):
                 "repro_collector_memory_apis_total",
                 "Memory APIs (memcpy/memset) processed by the collector.",
                 labelnames=("api",),
-            ).labels(api="memset").inc()
+            ).labels(api=obs.api).inc()
         self.analyzer.on_memory_api(obs)
 
     def _handle_launch(self, event: KernelLaunchEvent) -> None:
@@ -459,12 +436,7 @@ class DataCollector(RuntimeListener):
             obs.quarantined = True
             obs.fault = event.fault
             obs.fine_enabled = False
-            for alloc, nread, nwritten in event.touched:
-                obj = self._ensure_tracked(alloc)
-                if nread:
-                    obs.reads.append(ObjectRead(obj=obj, nbytes=nread))
-                if nwritten:
-                    obs.writes.append(self._write_through_range(obj, nwritten))
+            self._summarize_touched(event, obs)
         elif event.instrumented:
             self.counters.instrumented_launches += 1
             if self._fine_this_launch:
@@ -485,16 +457,23 @@ class DataCollector(RuntimeListener):
         else:
             # No instrumentation: only the touched-object summary is
             # available (reads/writes without snapshots).
-            for alloc, nread, nwritten in event.touched:
-                obj = self._ensure_tracked(alloc)
-                if nread:
-                    obs.reads.append(ObjectRead(obj=obj, nbytes=nread))
-                if nwritten:
-                    obs.writes.append(self._write_through_range(obj, nwritten))
+            self._summarize_touched(event, obs)
         self._sync_snapshot_counters()
         if self.memory_budget_bytes is not None:
             self._enforce_budget()
         self.analyzer.on_launch(obs)
+
+    def _summarize_touched(
+        self, event: KernelLaunchEvent, obs: LaunchObservation
+    ) -> None:
+        """Reads and whole-range writes from the launch's touched-object
+        summary, for launches whose records are absent or unusable."""
+        for alloc, nread, nwritten in event.touched:
+            obj = self._ensure_tracked(alloc)
+            if nread:
+                obs.reads.append(ObjectRead(obj=obj, nbytes=nread))
+            if nwritten:
+                obs.writes.append(self._write_through_range(obj, nwritten))
 
     # -- graceful degradation ----------------------------------------------
 
@@ -543,18 +522,7 @@ class DataCollector(RuntimeListener):
                 repaired.append(record)
                 continue
             changed = True
-            repaired.append(
-                AccessRecord(
-                    pc=record.pc,
-                    kind=record.kind,
-                    addresses=record.addresses[:n],
-                    values=record.values[:n],
-                    dtype=record.dtype,
-                    kernel_name=record.kernel_name,
-                    thread_ids=np.asarray(record.thread_ids)[:n],
-                    block_ids=np.asarray(record.block_ids)[:n],
-                )
-            )
+            repaired.append(record.take(slice(None, n)))
             if self.health is not None:
                 self.health.repaired_records += 1
                 self.health.note(

@@ -91,6 +91,20 @@ class AccessRecord:
         """Total bytes touched by this instruction across threads."""
         return self.count * self.itemsize
 
+    def take(self, index) -> "AccessRecord":
+        """This record restricted to ``index`` — a slice or a boolean
+        mask — applied alike to every per-thread vector."""
+        return AccessRecord(
+            pc=self.pc,
+            kind=self.kind,
+            addresses=self.addresses[index],
+            values=self.values[index],
+            dtype=self.dtype,
+            kernel_name=self.kernel_name,
+            thread_ids=np.asarray(self.thread_ids)[index],
+            block_ids=np.asarray(self.block_ids)[index],
+        )
+
     def intervals(self) -> np.ndarray:
         """Return per-thread ``[start, end)`` byte intervals, shape (n, 2)."""
         starts = self.addresses.astype(np.uint64)

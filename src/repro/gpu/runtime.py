@@ -3,9 +3,10 @@
 The runtime exposes the GPU APIs ValueExpert intercepts (paper Section
 4): memory allocation/free, the ``cudaMemcpy`` family, ``cudaMemset``,
 and kernel launch.  Every API call publishes *begin* and *end* events on
-a listener bus; the data collector subscribes to the bus, exactly as the
-real tool overloads the CUDA entry points.  Workload code only ever
-talks to the runtime — it never knows whether a profiler is attached.
+an :class:`EventBus`; the data collector subscribes to the bus, exactly
+as the real tool overloads the CUDA entry points.  Workload code only
+ever talks to the runtime — it never knows whether a profiler is
+attached.  A trace replay is the bus's other event source.
 
 The runtime also serializes all work (the paper's collector "serializes
 concurrent GPU streams") and accumulates modelled kernel/memory time
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 import repro.obs as telemetry
-from repro.errors import InvalidValueError, KernelLaunchError
+from repro.errors import CollectionError, InvalidValueError, KernelLaunchError
 from repro.gpu.accesses import AccessRecord
 from repro.gpu.device import Device, GpuContext
 from repro.gpu.dtypes import DType
@@ -188,7 +189,7 @@ class KernelLaunchEvent(ApiEvent):
 
 
 class RuntimeListener:
-    """Subscriber protocol for the runtime event bus.
+    """Subscriber protocol for the :class:`EventBus`.
 
     Override the hooks of interest.  ``on_api_begin`` fires before the
     API's effect (so pre-snapshots are possible) and ``on_api_end``
@@ -199,6 +200,23 @@ class RuntimeListener:
     #: this listener is attached (the paper's collector "serializes
     #: concurrent GPU streams").
     serializes_streams: bool = False
+
+    #: The event source :meth:`attach` subscribed this listener to.
+    _source: Optional[EventBus] = None
+
+    def attach(self, source: EventBus) -> None:
+        """Subscribe to an event source: a runtime or a trace replay."""
+        if self._source is not None:
+            raise CollectionError(f"{type(self).__name__} is already attached")
+        source.subscribe(self)
+        self._source = source
+
+    def detach(self) -> None:
+        """Unsubscribe from the event source :meth:`attach` chose."""
+        if self._source is None:
+            raise CollectionError(f"{type(self).__name__} is not attached")
+        self._source.unsubscribe(self)
+        self._source = None
 
     def on_api_begin(self, event: ApiEvent) -> None:  # pragma: no cover - default
         pass
@@ -234,7 +252,84 @@ class GpuEvent:
 # --------------------------------------------------------------------------
 
 
-class GpuRuntime:
+class EventBus:
+    """The listener bus both event sources publish on: a live
+    :class:`GpuRuntime` and a :class:`~repro.trace_io.TraceReplayer`."""
+
+    def __init__(self):
+        self.listeners: List[RuntimeListener] = []
+        #: Attached listeners that requested stream serialization, in
+        #: attach order — cached so the hot ``_commit_time`` path never
+        #: re-walks the listener list (the flag is sampled at attach).
+        self._serializing: List[RuntimeListener] = []
+
+    def subscribe(self, listener: RuntimeListener) -> None:
+        """Attach a profiler/collector to the API event bus."""
+        if listener in self.listeners:
+            raise InvalidValueError("listener already subscribed")
+        self.listeners.append(listener)
+        if getattr(listener, "serializes_streams", False):
+            self._serializing.append(listener)
+
+    def unsubscribe(self, listener: RuntimeListener) -> None:
+        """Detach a listener from the API bus."""
+        self.listeners.remove(listener)
+        if listener in self._serializing:
+            self._serializing.remove(listener)
+
+    def _vote(
+        self, kernel: Kernel, grid: int, block: int
+    ) -> Tuple[bool, Optional[np.ndarray]]:
+        """``(instrument, block_mask)`` of a launch: any listener may ask
+        for records, and the first mask offered samples the blocks."""
+        instrument = any(
+            listener.instrument_kernel(kernel, grid, block)
+            for listener in self.listeners
+        )
+        if instrument:
+            for listener in self.listeners:
+                mask = listener.sample_blocks(kernel, grid)
+                if mask is not None:
+                    return True, np.asarray(mask, dtype=bool)
+        return instrument, None
+
+    def _begin(self, event: ApiEvent) -> None:
+        for listener in self.listeners:
+            listener.on_api_begin(event)
+
+    def _end(self, event: ApiEvent) -> None:
+        for listener in self.listeners:
+            listener.on_api_end(event)
+
+
+def apply_memcpy(event: MemcpyEvent) -> None:
+    """A copy's device effect: H2D casts the host values into ``dst``,
+    D2D and P2P move raw bytes, D2H writes no device memory."""
+    dst = event.dst_alloc
+    if dst is None or event.kind is MemcpyKind.DEVICE_TO_HOST:
+        return
+    count = event.nbytes // dst.dtype.itemsize
+    if event.kind is MemcpyKind.HOST_TO_DEVICE:
+        values = event.host_array.data.ravel()[:count].astype(dst.dtype.np_dtype)
+    else:
+        src = event.src_alloc
+        raw = src.read(np.arange(event.nbytes // src.dtype.itemsize))
+        raw = raw.view(np.uint8)[: count * dst.dtype.itemsize]
+        values = raw.view(dst.dtype.np_dtype)
+    dst.write(np.arange(count), values)
+
+
+def apply_memset(event: MemsetEvent) -> None:
+    """A memset's device effect: the byte-wise fill."""
+    alloc = event.alloc
+    count = event.nbytes // alloc.dtype.itemsize
+    pattern = np.full(
+        count * alloc.dtype.itemsize, event.byte_value, dtype=np.uint8
+    ).view(alloc.dtype.np_dtype)
+    alloc.write(np.arange(count), pattern)
+
+
+class GpuRuntime(EventBus):
     """The CUDA-like API surface workloads program against.
 
     The runtime drives a :class:`~repro.gpu.device.GpuContext` of one or
@@ -248,6 +343,7 @@ class GpuRuntime:
         platform: Platform = RTX_2080_TI,
         context: Optional[GpuContext] = None,
     ):
+        super().__init__()
         if context is not None:
             self.context = context
         elif device is not None:
@@ -255,11 +351,6 @@ class GpuRuntime:
         else:
             self.context = GpuContext()
         self.platform = platform
-        self.listeners: List[RuntimeListener] = []
-        #: Attached listeners that requested stream serialization, in
-        #: attach order — cached so the hot ``_commit_time`` path never
-        #: re-walks the listener list (the flag is sampled at attach).
-        self._serializing: List[RuntimeListener] = []
         #: Optional :class:`repro.resilience.FaultInjector` consulted at
         #: each interception point (None outside chaos runs).
         self.fault_injector = None
@@ -303,22 +394,6 @@ class GpuRuntime:
     def ensure_devices(self, count: int) -> None:
         """Grow the context to at least ``count`` devices."""
         self.context.ensure(count)
-
-    # -- listener management ------------------------------------------------
-
-    def subscribe(self, listener: RuntimeListener) -> None:
-        """Attach a profiler/collector to the API event bus."""
-        if listener in self.listeners:
-            raise InvalidValueError("listener already subscribed")
-        self.listeners.append(listener)
-        if getattr(listener, "serializes_streams", False):
-            self._serializing.append(listener)
-
-    def unsubscribe(self, listener: RuntimeListener) -> None:
-        """Detach a listener from the API bus."""
-        self.listeners.remove(listener)
-        if listener in self._serializing:
-            self._serializing.remove(listener)
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -366,12 +441,6 @@ class GpuRuntime:
         """Modelled kernel time, perturbed by any latency fault plan."""
         if self.fault_injector is not None:
             return self.fault_injector.perturb_kernel_time(seconds)
-        return seconds
-
-    def _memcpy_seconds(self, seconds: float) -> float:
-        """Modelled copy/memset time, perturbed by any latency faults."""
-        if self.fault_injector is not None:
-            return self.fault_injector.perturb_memcpy_time(seconds)
         return seconds
 
     @property
@@ -422,8 +491,7 @@ class GpuRuntime:
                 "GPU API invocations crossing the runtime event bus.",
                 labelnames=("api",),
             ).labels(api=event.api_name).inc()
-        for listener in self.listeners:
-            listener.on_api_begin(event)
+        super()._begin(event)
 
     def _end(self, event: ApiEvent) -> None:
         if telemetry.ENABLED:
@@ -435,11 +503,21 @@ class GpuRuntime:
             with telemetry.span(
                 "runtime.dispatch", api=event.api_name, seq=event.seq
             ):
-                for listener in self.listeners:
-                    listener.on_api_end(event)
+                super()._end(event)
             return
-        for listener in self.listeners:
-            listener.on_api_end(event)
+        super()._end(event)
+
+    def _end_memory_api(
+        self, event: ApiEvent, seconds: float, device: Optional[int] = None
+    ) -> None:
+        """Charge a copy or memset its modelled time, perturbed by any
+        latency fault plan, and publish its end."""
+        if self.fault_injector is not None:
+            seconds = self.fault_injector.perturb_memcpy_time(seconds)
+        event.time_s = seconds
+        self.times.add_memory(seconds)
+        self._commit_time(event.stream, seconds, device)
+        self._end(event)
 
     # -- memory APIs -----------------------------------------------------------
 
@@ -491,17 +569,12 @@ class GpuRuntime:
             device=self._current,
         )
         self._begin(event)
-        count = nbytes // dst.dtype.itemsize
-        dst.write(
-            np.arange(count),
-            src.data.ravel()[:count].astype(dst.dtype.np_dtype),
-        )
+        apply_memcpy(event)
         if self.fault_injector is not None:
             self.fault_injector.maybe_corrupt(alloc=dst)
-        event.time_s = self._memcpy_seconds(self.platform.memcpy_time(nbytes, over_pcie=True))
-        self.times.add_memory(event.time_s)
-        self._commit_time(event.stream, event.time_s)
-        self._end(event)
+        self._end_memory_api(
+            event, self.platform.memcpy_time(nbytes, over_pcie=True)
+        )
 
     def memcpy_d2h(self, dst: HostArray, src: Allocation, stream: int = 0) -> None:
         """``cudaMemcpyAsync(..., cudaMemcpyDeviceToHost, stream)``."""
@@ -522,10 +595,9 @@ class GpuRuntime:
         flat[:count] = src.read(np.arange(count)).astype(dst.data.dtype)
         if self.fault_injector is not None:
             self.fault_injector.maybe_corrupt(host=dst)
-        event.time_s = self._memcpy_seconds(self.platform.memcpy_time(nbytes, over_pcie=True))
-        self.times.add_memory(event.time_s)
-        self._commit_time(event.stream, event.time_s)
-        self._end(event)
+        self._end_memory_api(
+            event, self.platform.memcpy_time(nbytes, over_pcie=True)
+        )
 
     def memcpy_d2d(self, dst: Allocation, src: Allocation, stream: int = 0) -> None:
         """``cudaMemcpy(..., cudaMemcpyDeviceToDevice)``."""
@@ -541,13 +613,12 @@ class GpuRuntime:
             device=self._current,
         )
         self._begin(event)
-        self._apply_device_copy(dst, src, nbytes)
+        apply_memcpy(event)
         if self.fault_injector is not None:
             self.fault_injector.maybe_corrupt(alloc=dst)
-        event.time_s = self._memcpy_seconds(self.platform.memcpy_time(nbytes, over_pcie=False))
-        self.times.add_memory(event.time_s)
-        self._commit_time(event.stream, event.time_s)
-        self._end(event)
+        self._end_memory_api(
+            event, self.platform.memcpy_time(nbytes, over_pcie=False)
+        )
 
     def memcpy_p2p(self, dst: Allocation, src: Allocation, stream: int = 0) -> None:
         """``cudaMemcpyPeerAsync``: copy between two devices' memories.
@@ -569,23 +640,12 @@ class GpuRuntime:
             device=src.device,
         )
         self._begin(event)
-        self._apply_device_copy(dst, src, event.nbytes)
+        apply_memcpy(event)
         if self.fault_injector is not None:
             self.fault_injector.maybe_corrupt(alloc=dst)
-        event.time_s = self._memcpy_seconds(self.platform.memcpy_p2p_time(event.nbytes))
-        self.times.add_memory(event.time_s)
-        self._commit_time(event.stream, event.time_s, device=src.device)
-        self._end(event)
-
-    @staticmethod
-    def _apply_device_copy(dst: Allocation, src: Allocation, nbytes: int) -> None:
-        """Move ``nbytes`` from ``src`` to ``dst`` element-wise."""
-        count = nbytes // dst.dtype.itemsize
-        src_count = nbytes // src.dtype.itemsize
-        raw = src.read(np.arange(src_count)).view(np.uint8)[
-            : count * dst.dtype.itemsize
-        ]
-        dst.write(np.arange(count), raw.view(dst.dtype.np_dtype))
+        self._end_memory_api(
+            event, self.platform.memcpy_p2p_time(event.nbytes), src.device
+        )
 
     def memset(self, alloc: Allocation, byte_value: int, nbytes: Optional[int] = None) -> None:
         """``cudaMemset``: byte-wise fill, like the real API."""
@@ -601,15 +661,8 @@ class GpuRuntime:
             device=self._current,
         )
         self._begin(event)
-        count = nbytes // alloc.dtype.itemsize
-        pattern = np.full(
-            count * alloc.dtype.itemsize, byte_value, dtype=np.uint8
-        ).view(alloc.dtype.np_dtype)
-        alloc.write(np.arange(count), pattern)
-        event.time_s = self._memcpy_seconds(self.platform.memset_time(nbytes))
-        self.times.add_memory(event.time_s)
-        self._commit_time(event.stream, event.time_s)
-        self._end(event)
+        apply_memset(event)
+        self._end_memory_api(event, self.platform.memset_time(nbytes))
 
     # -- kernel launch -----------------------------------------------------------
 
@@ -642,17 +695,7 @@ class GpuRuntime:
             stream=stream,
             device=self._current,
         )
-        instrument = any(
-            listener.instrument_kernel(kernel_obj, grid, block)
-            for listener in self.listeners
-        )
-        sampled = None
-        if instrument:
-            for listener in self.listeners:
-                mask = listener.sample_blocks(kernel_obj, grid)
-                if mask is not None:
-                    sampled = np.asarray(mask, dtype=bool)
-                    break
+        instrument, sampled = self._vote(kernel_obj, grid, block)
         event.instrumented = instrument
         event.sampled_blocks = sampled
         self._begin(event)

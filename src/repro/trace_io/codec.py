@@ -458,20 +458,40 @@ def stub_kernel(name: str) -> Kernel:
     return kernel
 
 
+def decode_kernel_table(footer: dict) -> List[Kernel]:
+    """Kernel stubs from a trace footer's kernel table (empty on a
+    salvaged trace); a table that is not a list is a :class:`TraceError`."""
+    table = footer.get("kernels") or []
+    if not isinstance(table, list):
+        raise TraceError(
+            f"trace footer kernel table is a {type(table).__name__}, "
+            f"not a list"
+        )
+    return [decode_kernel(data) for data in table]
+
+
 def decode_kernel(data: dict) -> Kernel:
-    """Rebuild a kernel stub: metadata and binary, no executable body."""
-    line_map: Dict[int, Tuple[str, int]] = {
-        pc: (filename, lineno) for pc, filename, lineno in data["line_map"]
-    }
-    kernel = Kernel(
-        name=data["name"],
-        fn=_stub_entry,
-        code_base=data["code_base"],
-        line_map=line_map,
-    )
-    kernel._pc_table = {site: pc for pc, site in line_map.items()}
-    if data["binary"] is not None:
-        kernel.binary = decode_function(data["binary"])
+    """Rebuild a kernel stub: metadata and binary, no executable body.
+    A malformed entry is a :class:`TraceError`."""
+    try:
+        if not isinstance(data["name"], str):
+            raise TypeError(f"kernel name {data['name']!r} is not a string")
+        line_map: Dict[int, Tuple[str, int]] = {
+            pc: (filename, lineno) for pc, filename, lineno in data["line_map"]
+        }
+        kernel = Kernel(
+            name=data["name"],
+            fn=_stub_entry,
+            code_base=data["code_base"],
+            line_map=line_map,
+        )
+        kernel._pc_table = {site: pc for pc, site in line_map.items()}
+        if data["binary"] is not None:
+            kernel.binary = decode_function(data["binary"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise TraceError(
+            f"malformed kernel table entry: {type(exc).__name__}: {exc}"
+        ) from None
     return kernel
 
 

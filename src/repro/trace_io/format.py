@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import zlib
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
@@ -113,14 +114,24 @@ def _load_json(raw: bytes, what: str, last_good_offset: int) -> dict:
     return obj
 
 
+def _codec_length(codec) -> Optional[int]:
+    """The raw payload length a codec records, or None unless it is a
+    non-negative int small enough to bound the inflater."""
+    nbytes = codec.get("n") if isinstance(codec, dict) else None
+    if type(nbytes) is int and 0 <= nbytes < sys.maxsize:
+        return nbytes
+    return None
+
+
 def _inflate(payload: bytes, codec: dict) -> bytes:
     """Undo the v2 zlib codec, never inflating past the recorded length."""
     if codec.get("c") != "zlib":
         raise ValueError(f"unknown payload codec {codec.get('c')!r}")
-    nbytes = codec.get("n")
-    if type(nbytes) is not int or nbytes < 0:
+    nbytes = _codec_length(codec)
+    if nbytes is None:
         raise ValueError(
-            f"payload codec needs a non-negative int raw length, got {nbytes!r}"
+            f"payload codec needs a non-negative int raw length, got "
+            f"{codec.get('n')!r}"
         )
     inflater = zlib.decompressobj()
     raw = inflater.decompress(payload, nbytes + 1)
@@ -555,14 +566,15 @@ class TraceReader:
                 nbytes = self._FRAME_HEAD + payload_len if decoded else total
                 if decoded and payload_len:
                     try:
-                        meta = json.loads(
-                            self._read_exact(meta_len).decode("utf-8")
+                        meta = _load_json(
+                            self._read_exact(meta_len), "frame meta", start
                         )
-                        codec = meta.get("__codec__")
-                        if codec is not None:
-                            nbytes = self._FRAME_HEAD + int(codec["n"])
-                    except (UnicodeDecodeError, ValueError, TypeError, KeyError):
-                        nbytes = total
+                    except TraceError:
+                        meta, nbytes = {}, total
+                    codec = meta.get("__codec__")
+                    if codec is not None:
+                        raw = _codec_length(codec)
+                        nbytes = total if raw is None else self._FRAME_HEAD + raw
                 entries.append((start, kind, nbytes))
                 self._file.seek(start + total)
             return entries
@@ -606,8 +618,11 @@ class TraceReader:
                 if codec is not None:
                     payload = _inflate(payload, codec)
                 for name, desc in meta.pop("__arrays__", {}).items():
-                    start = int(desc["offset"])
-                    nbytes = int(desc["nbytes"])
+                    start, nbytes = desc["offset"], desc["nbytes"]
+                    if type(start) is not int or type(nbytes) is not int:
+                        raise ValueError(
+                            f"array {name!r} descriptor has a non-int span"
+                        )
                     if start < 0 or nbytes < 0 or start + nbytes > len(payload):
                         raise ValueError(
                             f"array {name!r} descriptor addresses bytes "

@@ -26,12 +26,7 @@ from typing import Dict, Optional
 import repro.obs as telemetry
 from repro.errors import TraceError
 from repro.gpu.kernel import Kernel
-from repro.gpu.runtime import (
-    ApiEvent,
-    GpuRuntime,
-    KernelLaunchEvent,
-    RuntimeListener,
-)
+from repro.gpu.runtime import ApiEvent, KernelLaunchEvent, RuntimeListener
 from repro.trace_io.codec import (
     delta_keys_for,
     encode_event,
@@ -66,26 +61,9 @@ class TraceRecorder(RuntimeListener):
         self.fault_injector = fault_injector
         self._writer = TraceWriter(path, header=header, version=version)
         self._kernels: Dict[str, Kernel] = {}
-        self._runtime: Optional[GpuRuntime] = None
         self.path = path
         #: Final file size in bytes, set by :meth:`close`.
         self.nbytes: Optional[int] = None
-
-    # -- attachment -------------------------------------------------------
-
-    def attach(self, runtime: GpuRuntime) -> None:
-        """Subscribe to a runtime's API bus."""
-        if self._runtime is not None:
-            raise TraceError("trace recorder is already attached")
-        runtime.subscribe(self)
-        self._runtime = runtime
-
-    def detach(self) -> None:
-        """Unsubscribe from the runtime's API bus."""
-        if self._runtime is None:
-            raise TraceError("trace recorder is not attached")
-        self._runtime.unsubscribe(self)
-        self._runtime = None
 
     # -- RuntimeListener ----------------------------------------------------
 

@@ -1,24 +1,26 @@
 """TraceReplayer — re-emits a recorded run through the listener bus.
 
-The replayer reads a ``.vetrace`` file and plays its events to
-subscribed :class:`~repro.gpu.runtime.RuntimeListener`\\ s with the same
-begin/effect/end discipline as the live :class:`~repro.gpu.runtime.
-GpuRuntime`: ``on_api_begin`` fires before the event's memory effect is
-applied, ``on_api_end`` after.  Any bus consumer — the data collector,
-the GVProf baseline, race/reuse analyzers — works over a replay
-unchanged, which is the point: one recording, N analyses.
+The replayer reads a ``.vetrace`` file and plays its events on the same
+:class:`~repro.gpu.runtime.EventBus` the live
+:class:`~repro.gpu.runtime.GpuRuntime` publishes on: ``on_api_begin``
+fires before the event's memory effect is applied, ``on_api_end``
+after.  Any bus consumer — the data collector, the GVProf baseline,
+race/reuse analyzers — works over a replay unchanged, which is the
+point: one recording, N analyses.
 
 Device state is reconstructed exactly, without executing any kernel:
 
 - allocations are re-created at their recorded ids/addresses over
   private zero-filled arenas (matching the zero-filled live arena);
 - memcpy/memset effects are re-applied from recorded host data and the
-  replayed device state;
+  replayed device state, by the runtime's own
+  :func:`~repro.gpu.runtime.apply_memcpy` and
+  :func:`~repro.gpu.runtime.apply_memset`;
 - kernel launches write back the recorded post-launch contents of every
   written allocation.
 
-Instrumentation decisions are made by the *replay* listeners, exactly
-as on the live bus: the replayer polls ``instrument_kernel`` and
+Instrumentation decisions are made by the *replay* listeners, through
+the bus's own vote: the replayer polls ``instrument_kernel`` and
 ``sample_blocks`` per launch, then serves the recorded access records
 filtered through the listeners' block mask (mirroring the live
 per-record accounting).  Listeners can therefore narrow a maximal
@@ -38,7 +40,7 @@ from repro.errors import TraceError
 from repro.gpu.kernel import Kernel
 from repro.gpu.memory import Allocation
 from repro.gpu.runtime import (
-    ApiEvent,
+    EventBus,
     FreeEvent,
     HostArray,
     KernelLaunchEvent,
@@ -47,12 +49,14 @@ from repro.gpu.runtime import (
     MemcpyKind,
     MemsetEvent,
     RuntimeListener,
+    apply_memcpy,
+    apply_memset,
 )
 from repro.gpu.timing import KernelStats
 from repro.trace_io.codec import (
     decode_access_record,
     decode_call_path,
-    decode_kernel,
+    decode_kernel_table,
     dtype_from_name,
     record_arrays,
     stub_kernel,
@@ -174,7 +178,7 @@ def _make_allocation(desc: dict) -> Allocation:
     )
 
 
-class TraceReplayer:
+class TraceReplayer(EventBus):
     """Plays a recorded event stream to runtime listeners.
 
     With ``salvage=True`` a truncated recording is replayed up to its
@@ -199,19 +203,21 @@ class TraceReplayer:
         health=None,
         fault_injector=None,
     ):
+        super().__init__()
         self._reader = TraceReader(path, salvage=salvage)
         self.path = path
         self.salvage = salvage
         self.health = health
         self.fault_injector = fault_injector
         self.header: dict = self._reader.header
+        try:
+            table = decode_kernel_table(self._reader.footer)
+        except TraceError:
+            self._reader.close()
+            raise
         #: Kernel stubs from the trace footer (line maps + binaries,
         #: no executable body) — enough for offline type slicing.
-        self.kernels: Dict[str, Kernel] = {
-            data["name"]: decode_kernel(data)
-            for data in self._reader.footer.get("kernels", [])
-        }
-        self.listeners: List[RuntimeListener] = []
+        self.kernels: Dict[str, Kernel] = {kernel.name: kernel for kernel in table}
         if self._reader.truncated and health is not None:
             health.torn_trace = True
             health.trace_salvaged = True
@@ -227,18 +233,6 @@ class TraceReplayer:
         #: of the global arena, so ids alone can collide.
         self._allocs: Dict[Tuple[int, int], Allocation] = {}
         self.events_replayed = 0
-
-    # -- listener management (GpuRuntime-compatible) -----------------------
-
-    def subscribe(self, listener: RuntimeListener) -> None:
-        """Attach a consumer to the replay bus."""
-        if listener in self.listeners:
-            raise TraceError("listener already subscribed to the replay")
-        self.listeners.append(listener)
-
-    def unsubscribe(self, listener: RuntimeListener) -> None:
-        """Detach a consumer from the replay bus."""
-        self.listeners.remove(listener)
 
     # -- replay -------------------------------------------------------------
 
@@ -334,7 +328,9 @@ class TraceReplayer:
 
     def _replay_one(self, index: int, kind: int, meta: dict, arrays: dict) -> None:
         """Replay event ``index``, refusing it before any listener sees
-        it when it lacks a key its replay reads."""
+        it when it lacks a key its replay reads.  The per-kind handler
+        begins the event and applies its effect; the end is published
+        here, at the recorded time."""
         if kind in _EVENT_KEYS:
             try:
                 _check_frame(kind, meta, arrays)
@@ -344,26 +340,19 @@ class TraceReplayer:
                     f"{exc}"
                 ) from None
         if kind == EVENT_MALLOC:
-            self._replay_malloc(meta)
+            event = self._replay_malloc(meta)
         elif kind == EVENT_FREE:
-            self._replay_free(meta)
+            event = self._replay_free(meta)
         elif kind == EVENT_MEMCPY:
-            self._replay_memcpy(meta, arrays)
+            event = self._replay_memcpy(meta, arrays)
         elif kind == EVENT_MEMSET:
-            self._replay_memset(meta)
+            event = self._replay_memset(meta)
         elif kind == EVENT_LAUNCH:
-            self._replay_launch(meta, arrays)
+            event = self._replay_launch(meta, arrays)
         else:
             raise TraceError(f"unknown event kind {kind} in {self.path!r}")
-
-    def _begin(self, event: ApiEvent) -> None:
-        for listener in self.listeners:
-            listener.on_api_begin(event)
-
-    def _end(self, event: ApiEvent, time_s: float) -> None:
-        event.time_s = time_s
-        for listener in self.listeners:
-            listener.on_api_end(event)
+        event.time_s = meta["time_s"]
+        self._end(event)
 
     def _common(self, meta: dict) -> dict:
         return {
@@ -392,79 +381,53 @@ class TraceReplayer:
 
     # -- per-event replay -----------------------------------------------------
 
-    def _replay_malloc(self, meta: dict) -> None:
+    def _replay_malloc(self, meta: dict) -> MallocEvent:
         event = MallocEvent(**self._common(meta))
         self._begin(event)
         alloc = _make_allocation(meta["alloc"])
         self._allocs[(alloc.alloc_id, alloc.address)] = alloc
         event.alloc = alloc
-        self._end(event, meta["time_s"])
+        return event
 
-    def _replay_free(self, meta: dict) -> None:
-        desc = meta["alloc"]
-        alloc = self._resolve(desc)
+    def _replay_free(self, meta: dict) -> FreeEvent:
+        alloc = self._resolve(meta["alloc"])
         alloc.freed = False  # live FreeEvent carries a still-live handle
         event = FreeEvent(alloc=alloc, **self._common(meta))
         self._begin(event)
         alloc.freed = True
         self._allocs.pop((alloc.alloc_id, alloc.address), None)
-        self._end(event, meta["time_s"])
+        return event
 
-    def _replay_memcpy(self, meta: dict, arrays: dict) -> None:
-        dst = self._resolve(meta["dst"])
-        src = self._resolve(meta["src"])
+    def _replay_memcpy(self, meta: dict, arrays: dict) -> MemcpyEvent:
         host = None
         if "host" in arrays:
             host = HostArray(arrays["host"], label=meta["host_label"])
-        kind = MemcpyKind(meta["kind"])
-        nbytes = meta["nbytes"]
         event = MemcpyEvent(
-            kind=kind,
-            nbytes=nbytes,
-            dst_alloc=dst,
-            src_alloc=src,
+            kind=MemcpyKind(meta["kind"]),
+            nbytes=meta["nbytes"],
+            dst_alloc=self._resolve(meta["dst"]),
+            src_alloc=self._resolve(meta["src"]),
             host_array=host,
             **self._common(meta),
         )
         self._begin(event)
-        # Re-apply the copy's device effect (same arithmetic as the
-        # live runtime).  D2H needs no device write; the recorded host
-        # array already holds the post-copy contents.
-        if kind is MemcpyKind.HOST_TO_DEVICE and dst is not None:
-            count = nbytes // dst.dtype.itemsize
-            dst.write(
-                np.arange(count),
-                host.data.ravel()[:count].astype(dst.dtype.np_dtype),
-            )
-        elif (
-            kind in (MemcpyKind.DEVICE_TO_DEVICE, MemcpyKind.PEER_TO_PEER)
-            and dst is not None
-        ):
-            count = nbytes // dst.dtype.itemsize
-            src_count = nbytes // src.dtype.itemsize
-            raw = src.read(np.arange(src_count)).view(np.uint8)[
-                : count * dst.dtype.itemsize
-            ]
-            dst.write(np.arange(count), raw.view(dst.dtype.np_dtype))
-        self._end(event, meta["time_s"])
+        # D2H writes no device memory: the recorded host array already
+        # holds the post-copy contents.
+        apply_memcpy(event)
+        return event
 
-    def _replay_memset(self, meta: dict) -> None:
-        alloc = self._resolve(meta["alloc"])
+    def _replay_memset(self, meta: dict) -> MemsetEvent:
         event = MemsetEvent(
-            alloc=alloc,
+            alloc=self._resolve(meta["alloc"]),
             byte_value=meta["byte_value"],
             nbytes=meta["nbytes"],
             **self._common(meta),
         )
         self._begin(event)
-        count = meta["nbytes"] // alloc.dtype.itemsize
-        pattern = np.full(
-            count * alloc.dtype.itemsize, meta["byte_value"], dtype=np.uint8
-        ).view(alloc.dtype.np_dtype)
-        alloc.write(np.arange(count), pattern)
-        self._end(event, meta["time_s"])
+        apply_memset(event)
+        return event
 
-    def _replay_launch(self, meta: dict, arrays: dict) -> None:
+    def _replay_launch(self, meta: dict, arrays: dict) -> KernelLaunchEvent:
         kernel = self.kernels.get(meta["kernel"])
         if kernel is None:
             if not self.salvage:
@@ -491,17 +454,7 @@ class TraceReplayer:
         block = meta["block"]
         # The *replay* listeners decide instrumentation, exactly as on
         # the live bus; they can narrow the recording, never widen it.
-        instrument = any(
-            listener.instrument_kernel(kernel, grid, block)
-            for listener in self.listeners
-        )
-        sampled = None
-        if instrument:
-            for listener in self.listeners:
-                mask = listener.sample_blocks(kernel, grid)
-                if mask is not None:
-                    sampled = np.asarray(mask, dtype=bool)
-                    break
+        instrument, sampled = self._vote(kernel, grid, block)
         event = KernelLaunchEvent(
             kernel=kernel,
             grid=grid,
@@ -532,7 +485,7 @@ class TraceReplayer:
             (self._resolve(entry["alloc"]), entry["nread"], entry["nwritten"])
             for entry in meta["touched"]
         ]
-        self._end(event, meta["time_s"])
+        return event
 
     def _filter_records(self, meta, arrays, sampled) -> list:
         """Recorded records, narrowed by the replay block mask.
@@ -546,35 +499,15 @@ class TraceReplayer:
             record = decode_access_record(
                 record_meta, arrays, index, meta["block"]
             )
-            if len(record.block_ids) != record.count or len(
-                record.thread_ids
-            ) != record.count:
+            n = record.count
+            if len(record.block_ids) != n or len(record.thread_ids) != n:
                 # Torn record serialized before repair: clip the id
                 # vectors so the block mask below cannot misindex.
-                n = record.count
-                record = type(record)(
-                    pc=record.pc,
-                    kind=record.kind,
-                    addresses=record.addresses,
-                    values=record.values,
-                    dtype=record.dtype,
-                    kernel_name=record.kernel_name,
-                    thread_ids=record.thread_ids[:n],
-                    block_ids=record.block_ids[:n],
-                )
+                record = record.take(slice(None, n))
             if sampled is not None:
                 mask = sampled[record.block_ids]
                 if not mask.any():
                     continue
-                record = type(record)(
-                    pc=record.pc,
-                    kind=record.kind,
-                    addresses=record.addresses[mask],
-                    values=record.values[mask],
-                    dtype=record.dtype,
-                    kernel_name=record.kernel_name,
-                    thread_ids=record.thread_ids[mask],
-                    block_ids=record.block_ids[mask],
-                )
+                record = record.take(mask)
             records.append(record)
         return records

@@ -30,7 +30,7 @@ from repro.binary.synthesis import synthesize_binary
 from repro.flowgraph.graph import EdgeKind, VertexKind
 from repro.gpu.accesses import AccessKind
 from repro.gpu.dtypes import DType
-from repro.trace_io.codec import decode_kernel, dtype_from_name
+from repro.trace_io.codec import decode_kernel_table, dtype_from_name
 from repro.trace_io.format import EVENT_LAUNCH, TraceReader
 
 
@@ -136,8 +136,7 @@ def _harvest_site_types(
 def _collect_kernels(reader: TraceReader, summary: TraceSummary) -> None:
     """Decode the footer kernel table, synthesizing missing binaries."""
     harvested: Optional[Dict[str, Tuple[Dict, Dict]]] = None
-    for data in reader.footer.get("kernels", []):
-        stub = decode_kernel(data)
+    for stub in decode_kernel_table(reader.footer):
         if stub.binary is not None:
             summary.kernels[stub.name] = stub.binary
             continue

@@ -5,6 +5,7 @@ import numpy as np
 from repro.baselines.hotspot import HotspotProfiler
 from repro.gpu.dtypes import DType
 from repro.gpu.runtime import HostArray
+from repro.trace_io import TraceRecorder, TraceReplayer
 
 
 def _run_workload(rt, fill_kernel):
@@ -59,3 +60,20 @@ def test_hotspot_sees_symptom_not_cause(rt, fill_kernel):
     field_names = set(vars(report))
     assert "kernel_time" in field_names
     assert not any("value" in name or "pattern" in name for name in field_names)
+
+
+def test_replay_reports_the_live_times(rt, fill_kernel, tmp_path):
+    """The profiler attached to a replay of a recording reports the
+    same per-kernel and per-API times as it did live."""
+    path = str(tmp_path / "run.vetrace")
+    with TraceRecorder(path) as recorder:
+        recorder.attach(rt)
+        live = _run_workload(rt, fill_kernel)
+        recorder.detach()
+    profiler = HotspotProfiler()
+    with TraceReplayer(path) as replayer:
+        profiler.attach(replayer)
+        replayer.replay()
+        profiler.detach()
+    assert profiler.report.kernel_launches == {"fill_constant": 3}
+    assert profiler.report == live

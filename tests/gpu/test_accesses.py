@@ -1,5 +1,7 @@
 """Tests for access records."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,37 @@ def test_intervals_for_adjacent_accesses_touch():
     intervals = record.intervals()
     # Coalesced accesses: each end equals the next start.
     assert np.all(intervals[:-1, 1] == intervals[1:, 0])
+
+
+def test_take_slices_every_per_thread_vector():
+    record = _record(n=6)
+    head = record.take(slice(None, 4))
+    assert head.count == 4
+    np.testing.assert_array_equal(head.addresses, record.addresses[:4])
+    np.testing.assert_array_equal(head.values, record.values[:4])
+    np.testing.assert_array_equal(head.thread_ids, np.arange(4))
+    np.testing.assert_array_equal(head.block_ids, np.zeros(4))
+    assert (head.pc, head.kind, head.dtype, head.kernel_name) == (
+        record.pc, record.kind, record.dtype, record.kernel_name
+    )
+
+
+def test_take_masks_every_per_thread_vector():
+    record = dataclasses.replace(
+        _record(n=6), block_ids=np.array([0, 0, 1, 1, 2, 2])
+    )
+    mask = np.array([True, False, False, True, True, False])
+    picked = record.take(mask)
+    np.testing.assert_array_equal(picked.addresses, record.addresses[mask])
+    np.testing.assert_array_equal(picked.thread_ids, [0, 3, 4])
+    np.testing.assert_array_equal(picked.block_ids, [0, 1, 2])
+
+
+def test_take_accepts_list_typed_ids():
+    record = dataclasses.replace(
+        _record(n=4), thread_ids=[10, 11, 12, 13], block_ids=[0, 0, 1, 1]
+    )
+    picked = record.take(np.array([False, True, False, True]))
+    np.testing.assert_array_equal(picked.thread_ids, [11, 13])
+    np.testing.assert_array_equal(picked.block_ids, [0, 1])
+    assert record.take(slice(None, 3)).thread_ids.tolist() == [10, 11, 12]

@@ -1,24 +1,31 @@
 """Damaged frames of a recorded trace fail only as a ``TraceError``.
 
 Each case rewrites one frame of a small recorded bfs trace: a meta block
-that is not JSON or not UTF-8, a payload length inflated far past the
-file, a zlib payload that inflates past its recorded raw length, and a
-codec without a raw length.  A strict reader must raise
+that is not JSON, not UTF-8 or not a JSON object, a payload length
+inflated far past the file, a zlib payload that inflates past its
+recorded raw length, a codec without a usable raw length (missing,
+infinite, too large to bound the inflater), and an array descriptor
+whose offset or byte count is infinite.  A strict reader must raise
 :class:`TraceError` carrying the offset of the damaged frame (never a
 raw json/zlib exception or a ``MemoryError``), and a resilient replay
 must return the prefix profile with the damage in its health report.
 """
 
+import gc
 import json
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import pytest
 
 from repro import ToolConfig, ValueExpert
+from repro.cli import main
 from repro.errors import DegradedProfileWarning, TraceError
+from repro.trace_io import TraceReplayer
 from repro.trace_io.format import MAGIC, TraceReader
+from repro.tracediff import extract_summary
 from repro.workloads import get_workload
 
 _FOOTER_OFFSET = struct.Struct("<Q")
@@ -109,7 +116,44 @@ def _missing_n(meta, payload):
     return _recode(meta, payload, None)
 
 
-DAMAGE = [_bad_json, _bad_utf8, _inflated_length, _inflates_past_n, _missing_n]
+def _meta_not_an_object(meta, payload):
+    return b"[1, 2, 3]", payload, len(payload)
+
+
+def _infinite_n(meta, payload):
+    return _recode(meta, payload, {"c": "zlib", "n": float("inf")})
+
+
+def _huge_n(meta, payload):
+    return _recode(meta, payload, {"c": "zlib", "n": 10**400})
+
+
+def _descriptor(field, value):
+    """An edit setting ``field`` of the frame's first array descriptor."""
+
+    def edit(meta, payload):
+        decoded = json.loads(meta)
+        first = next(iter(decoded["__arrays__"].values()))
+        first[field] = value
+        return json.dumps(decoded).encode(), payload, len(payload)
+
+    edit.__name__ = f"_{field}_{value}"
+    return edit
+
+
+#: Well-formed JSON carrying values the reader cannot use.
+MALFORMED = [
+    _meta_not_an_object,
+    _infinite_n,
+    _huge_n,
+    _descriptor("offset", float("inf")),
+    _descriptor("nbytes", float("-inf")),
+]
+
+
+DAMAGE = [
+    _bad_json, _bad_utf8, _inflated_length, _inflates_past_n, _missing_n
+] + MALFORMED
 
 
 @pytest.mark.parametrize("edit", DAMAGE, ids=lambda edit: edit.__name__[1:])
@@ -194,3 +238,81 @@ def test_corrupt_footer_is_a_trace_error(recorded, tmp_path):
     with pytest.raises(TraceError) as err:
         TraceReader(str(path))
     assert err.value.last_good_offset == footer
+
+
+@pytest.mark.parametrize("edit", MALFORMED, ids=lambda edit: edit.__name__[1:])
+def test_decoded_frame_index_survives_malformed_metas(recorded, tmp_path, edit):
+    """The decoded index is a planning hint: a meta it cannot read weighs
+    its frame at the on-disk size instead of raising."""
+    path, damaged_offset = _rewrite(recorded, tmp_path, edit)
+    with TraceReader(path) as reader:
+        on_disk = reader.frame_index()
+        decoded = reader.frame_index(decoded=True)
+    assert [entry[:2] for entry in decoded] == [entry[:2] for entry in on_disk]
+    if edit in (_meta_not_an_object, _infinite_n, _huge_n):
+        damaged = [entry[0] for entry in on_disk].index(damaged_offset)
+        assert decoded[damaged] == on_disk[damaged]
+
+
+def _footer_kernels(recorded, tmp_path, kernels):
+    """The recording with its footer kernel table replaced by ``kernels``."""
+    blob = recorded[0]
+    (footer,) = _FOOTER_OFFSET.unpack_from(blob, _FOOTER_OFFSET_POS)
+    (length,) = _FOOTER_OFFSET.unpack_from(blob, footer)
+    start = footer + _FOOTER_OFFSET.size
+    table = json.loads(blob[start : start + length])
+    table["kernels"] = kernels
+    body = json.dumps(table).encode()
+    path = tmp_path / "kernels.vetrace"
+    path.write_bytes(blob[:footer] + _FOOTER_OFFSET.pack(len(body)) + body)
+    return str(path)
+
+
+BAD_KERNEL_TABLES = {
+    "empty_entry": [{}],
+    "not_a_list": 5,
+    "short_line_map_entry": [
+        {"name": "k", "code_base": 0, "line_map": [[16, "k.py"]], "binary": None}
+    ],
+}
+
+
+@pytest.mark.parametrize("table", sorted(BAD_KERNEL_TABLES))
+def test_malformed_kernel_table_is_a_trace_error(recorded, tmp_path, table):
+    path = _footer_kernels(recorded, tmp_path, BAD_KERNEL_TABLES[table])
+    with pytest.raises(TraceError):
+        TraceReplayer(path)
+    with pytest.raises(TraceError):
+        extract_summary(path)
+
+
+def test_refused_kernel_table_closes_the_trace(recorded, tmp_path):
+    path = _footer_kernels(recorded, tmp_path, BAD_KERNEL_TABLES["not_a_list"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(TraceError):
+            TraceReplayer(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _cli_cases():
+    frames = [(edit.__name__[1:], edit, None) for edit in MALFORMED]
+    tables = [(name, None, name) for name in sorted(BAD_KERNEL_TABLES)]
+    return [
+        pytest.param(edit, table, shards, id=f"{name}-shards{shards}")
+        for name, edit, table in frames + tables
+        for shards in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize("edit, table, shards", _cli_cases())
+def test_cli_replay_reports_malformed_input(
+    recorded, tmp_path, capsys, edit, table, shards
+):
+    if edit is not None:
+        path, _ = _rewrite(recorded, tmp_path, edit)
+    else:
+        path = _footer_kernels(recorded, tmp_path, BAD_KERNEL_TABLES[table])
+    assert main(["replay", path, "--shards", str(shards)]) == 1
+    assert capsys.readouterr().err.startswith("repro: error:")
