@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 import repro.obs as telemetry
 from repro.analysis.profile import ObjectInfo, ValueProfile
 from repro.collector.collector import (
@@ -131,10 +129,7 @@ class OnlineAnalyzer:
         )
         api_ref = self._api_ref(vertex)
         self._coarse_analysis(obs.writes, fractions, api_ref)
-        host_extra = None
-        if obs.host_array is not None:
-            host_extra = (f"host:{obs.host_array.label}", obs.host_array.data)
-        self._duplicate_analysis(obs.writes, api_ref, host_extra)
+        self._duplicate_analysis(obs.writes, api_ref, self._host_entry(obs))
 
     def on_launch(self, obs: LaunchObservation) -> None:
         """Flow edges, coarse analysis, and fine views for a launch."""
@@ -287,6 +282,13 @@ class OnlineAnalyzer:
         if span is not None:
             span.end()
 
+    @staticmethod
+    def _host_entry(obs: MemoryApiObservation) -> Optional[Tuple[str, str]]:
+        """``(key, digest)`` of a copy's host array, or None."""
+        if obs.host_array is None:
+            return None
+        return f"host:{obs.host_array.label}", obs.host_digest
+
     def _move_digest(
         self, key: str, digest: str, label: str
     ) -> Tuple[bool, Optional[str]]:
@@ -313,16 +315,16 @@ class OnlineAnalyzer:
         self,
         writes,
         api_ref: str,
-        host_extra: Optional[Tuple[str, np.ndarray]],
+        host: Optional[Tuple[str, str]],
     ) -> None:
         """Reindex written objects' digests, then check dirty buckets.
 
-        Each written object's ``write.after`` snapshot is hashed exactly
-        once and moved between reverse-index buckets; only the buckets
-        touched this API — joined by a written key, or left behind by
-        one (the residual members are a new, smaller group) — are
-        examined for new duplicate groups: O(written objects), not
-        O(tracked objects).
+        Each written object's digest (and the ``(key, digest)`` of a
+        copy's host array, if any) is moved between reverse-index
+        buckets; only the buckets touched this API — joined by a
+        written key, or left behind by one (the residual members are a
+        new, smaller group) — are examined for new duplicate groups:
+        O(written objects), not O(tracked objects).
         """
         span = (
             telemetry.tracer().begin("analyzer.duplicates", writes=len(writes))
@@ -354,9 +356,8 @@ class OnlineAnalyzer:
                 dirty.append(digest)
             if departed is not None:
                 dirty.append(departed)
-        if host_extra is not None:
-            key, data = host_extra
-            digest = snapshot_digest(np.asarray(data))
+        if host is not None:
+            key, digest = host
             changed, departed = self._move_digest(key, digest, key)
             if changed:
                 digest_moves += 1

@@ -202,10 +202,7 @@ class ShardOnlineAnalyzer(OnlineAnalyzer):
         identity = (kind, obs.name, obs.call_path, obs.device)
         for write in obs.writes:
             self._writer_identity[write.obj.alloc_id] = identity
-        host_extra = None
-        if obs.host_array is not None:
-            host_extra = (f"host:{obs.host_array.label}", obs.host_array.data)
-        self._duplicate_analysis(obs.writes, "", host_extra)
+        self._duplicate_analysis(obs.writes, "", self._host_entry(obs))
 
     def on_launch(self, obs) -> None:
         if self.active:

@@ -55,6 +55,7 @@ from repro.intervals.copyplan import AdaptiveCopyPolicy, plan_copy
 from repro.intervals.interval import intervals_from_accesses_kinds
 from repro.intervals.parallel import merge_parallel_kinds
 from repro.utils.callpath import CallPath
+from repro.utils.hashing import same_bytes, snapshot_digest
 
 #: Shared placeholders for what the passive prefix of a sharded replay
 #: never reads: written-index sets and read coverage.
@@ -125,6 +126,9 @@ class MemoryApiObservation:
     host_source: bool = False
     host_sink: bool = False
     host_array: Optional[HostArray] = None
+    #: Value digest of ``host_array``, set whenever it is: the device
+    #: mirror's digest when the mirror holds exactly the host bytes.
+    host_digest: Optional[str] = None
     #: Device the API executed on (source device for peer copies).
     device: int = 0
 
@@ -381,7 +385,26 @@ class DataCollector(RuntimeListener):
         if event.src_alloc is not None:
             obj = self._ensure_tracked(event.src_alloc)
             obs.reads.append(ObjectRead(obj=obj, nbytes=event.nbytes))
+        if event.host_array is not None:
+            # H2D and D2H copies have exactly one device side: ``obj``.
+            obs.host_digest = self._host_digest(event.host_array, obj)
         self._finish_memory_api(obs, span)
+
+    def _host_digest(self, host: HostArray, obj: DataObject) -> str:
+        """Digest of a copy's host array.
+
+        After an H2D copy the destination's mirror usually holds the
+        host bytes, and before a D2H copy the source's mirror does; the
+        mirror's digest is then the host's, already maintained.  The
+        bytes are compared, never assumed equal: a cast or prefix copy,
+        a corrupted transfer or evicted mirrors hash the host array.
+        """
+        data = np.asarray(host.data)
+        if self.snapshots.is_tracked(obj.alloc_id):
+            mirror = self.snapshots.snapshot(obj.alloc_id)
+            if mirror.dtype == data.dtype and same_bytes(mirror, data):
+                return self.snapshots.digest(obj.alloc_id)
+        return snapshot_digest(data)
 
     def _handle_memset(self, event: MemsetEvent) -> None:
         span = (

@@ -8,12 +8,17 @@ as of the last GPU API.  Updates go through a
 :class:`~repro.intervals.copyplan.CopyPlan` so the bytes moved and copy
 invocations are exactly what the adaptive copy mechanism would incur —
 those counters feed the overhead model.
+
+Each mirror carries its chunk digests (:mod:`repro.utils.hashing`).  A
+refresh compares the bytes it reads with the bytes they replace and
+rehashes only the chunks that differ, so an API that rewrites an
+object with the values it already held costs a comparison, not a hash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -21,6 +26,8 @@ from repro.collector.objects import DataObject
 from repro.errors import CollectionError
 from repro.intervals.copyplan import CopyPlan
 from repro.utils.hashing import (
+    DIGEST_CHUNK_BYTES,
+    changed_chunks,
     chunk_digests,
     combine_digests,
     refresh_chunk_digests,
@@ -120,15 +127,16 @@ class SnapshotStore:
     def refresh_full(self, obj: DataObject) -> Tuple[np.ndarray, np.ndarray]:
         """Direct copy (Figure 5a): re-mirror the whole object.
 
-        Returns ``(before, after)`` snapshots (before is a copy).
+        Returns ``(before, after)`` snapshots (before is a copy).  Only
+        the chunks in which ``after`` differs from ``before`` are
+        rehashed.
         """
         # The store replaces its reference with ``after``, so the old
         # array can be handed out as ``before`` without copying.
         before = self.snapshot(obj.alloc_id)
         after = obj.handle.read_all()
         self._snapshots[obj.alloc_id] = after
-        self._chunks[obj.alloc_id] = chunk_digests(after)
-        self._digests.pop(obj.alloc_id, None)
+        self._rehash(obj.alloc_id, after, changed_chunks(before, after))
         self.traffic.bytes_copied += obj.size
         self.traffic.copy_invocations += 1
         return before, after
@@ -147,7 +155,9 @@ class SnapshotStore:
         ``before`` comes back empty: callers that only need the
         refreshed bytes and digests (a sharded replay's passive prefix)
         skip the full-object copy that ``before`` would require.  The
-        chunk digests are maintained identically either way.
+        chunk digests are maintained identically either way: each range
+        is compared with the mirror before it is patched, and only the
+        chunks it changed are rehashed.
         """
         before = self.snapshot(obj.alloc_id)
         if want_before:
@@ -156,21 +166,31 @@ class SnapshotStore:
             after = before
             before = after[:0]
         itemsize = obj.dtype.itemsize
-        dirty_bytes = []
+        changed = set()
         for start, end in plan.ranges:
             lo = max(0, (int(start) - obj.address) // itemsize)
             hi = min(obj.handle.nelems, -(-(int(end) - obj.address) // itemsize))
             if lo < hi:
-                after[lo:hi] = obj.handle.read_range(lo, hi)
-                dirty_bytes.append((lo * itemsize, hi * itemsize))
+                fresh = obj.handle.read_range(lo, hi)
+                changed.update(changed_chunks(after[lo:hi], fresh, lo * itemsize))
+                after[lo:hi] = fresh
         self._snapshots[obj.alloc_id] = after
-        chunks = list(self._chunks[obj.alloc_id])
-        self._chunks[obj.alloc_id] = refresh_chunk_digests(
-            after, chunks, dirty_bytes
-        )
-        self._digests.pop(obj.alloc_id, None)
+        self._rehash(obj.alloc_id, after, changed)
         self.traffic.add_plan(plan)
         return before, after
+
+    def _rehash(
+        self, alloc_id: int, snapshot: np.ndarray, changed: Iterable[int]
+    ) -> None:
+        """Rehash the ``changed`` chunks of a refreshed mirror; when none
+        changed, the cached combined digest stays valid."""
+        ranges = [
+            (index * DIGEST_CHUNK_BYTES, (index + 1) * DIGEST_CHUNK_BYTES)
+            for index in changed
+        ]
+        if ranges:
+            refresh_chunk_digests(snapshot, self._chunks[alloc_id], ranges)
+            self._digests.pop(alloc_id, None)
 
     def element_indices(
         self, obj: DataObject, intervals: np.ndarray

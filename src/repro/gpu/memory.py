@@ -114,6 +114,20 @@ class Allocation:
             return np.empty(0, dtype=self.dtype.np_dtype)
         return self._typed_view()[lo:hi].copy()
 
+    def prefix_view(self, count: int) -> np.ndarray:
+        """The live typed view of elements ``[0, count)``: the slice a
+        memcpy or memset reads or writes.  A count that is not an
+        integer in ``[0, nelems]`` raises :class:`InvalidAddressError`.
+        """
+        self._check_live()
+        in_range = isinstance(count, (int, np.integer)) and 0 <= count <= self.nelems
+        if not in_range:
+            raise InvalidAddressError(
+                f"element prefix [0, {count}) out of range for "
+                f"{self.label!r} (n={self.nelems})"
+            )
+        return self._typed_view()[:count]
+
     def write_all(self, values: np.ndarray) -> None:
         """Overwrite the whole allocation from a typed array."""
         self._check_live()

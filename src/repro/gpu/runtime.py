@@ -302,31 +302,43 @@ class EventBus:
             listener.on_api_end(event)
 
 
+def _check_copy_source(
+    event: MemcpyEvent, needed: int, available: int, what: str
+) -> None:
+    """Refuse a copy that needs more host elements or source bytes than
+    exist, before it writes anything."""
+    if needed > available:
+        raise InvalidValueError(
+            f"{event.kind.value} copy of {event.nbytes} bytes needs {needed} "
+            f"{what}; only {available} exist"
+        )
+
+
 def apply_memcpy(event: MemcpyEvent) -> None:
-    """A copy's device effect: H2D casts the host values into ``dst``,
-    D2D and P2P move raw bytes, D2H writes no device memory."""
+    """A copy's device effect on ``dst``'s first ``nbytes``: H2D casts
+    the host values into them, D2D and P2P move raw bytes, D2H writes
+    no device memory.  A copy that needs more host elements or source
+    bytes than exist raises :class:`InvalidValueError`."""
     dst = event.dst_alloc
     if dst is None or event.kind is MemcpyKind.DEVICE_TO_HOST:
         return
-    count = event.nbytes // dst.dtype.itemsize
+    target = dst.prefix_view(event.nbytes // dst.dtype.itemsize)
     if event.kind is MemcpyKind.HOST_TO_DEVICE:
-        values = event.host_array.data.ravel()[:count].astype(dst.dtype.np_dtype)
+        values = event.host_array.data.reshape(-1)
+        _check_copy_source(event, target.size, values.size, "host elements")
     else:
         src = event.src_alloc
-        raw = src.read(np.arange(event.nbytes // src.dtype.itemsize))
-        raw = raw.view(np.uint8)[: count * dst.dtype.itemsize]
-        values = raw.view(dst.dtype.np_dtype)
-    dst.write(np.arange(count), values)
+        raw = src.prefix_view(event.nbytes // src.dtype.itemsize).view(np.uint8)
+        _check_copy_source(event, target.nbytes, raw.size, "source bytes")
+        values = raw[: target.nbytes].view(target.dtype)
+    target[:] = values[: target.size]
 
 
 def apply_memset(event: MemsetEvent) -> None:
     """A memset's device effect: the byte-wise fill."""
     alloc = event.alloc
-    count = event.nbytes // alloc.dtype.itemsize
-    pattern = np.full(
-        count * alloc.dtype.itemsize, event.byte_value, dtype=np.uint8
-    ).view(alloc.dtype.np_dtype)
-    alloc.write(np.arange(count), pattern)
+    target = alloc.prefix_view(event.nbytes // alloc.dtype.itemsize)
+    target.view(np.uint8)[:] = event.byte_value
 
 
 class GpuRuntime(EventBus):
@@ -590,9 +602,10 @@ class GpuRuntime(EventBus):
             device=self._current,
         )
         self._begin(event)
-        count = nbytes // src.dtype.itemsize
+        values = src.prefix_view(nbytes // src.dtype.itemsize)
         flat = dst.data.reshape(-1)
-        flat[:count] = src.read(np.arange(count)).astype(dst.data.dtype)
+        _check_copy_source(event, values.size, flat.size, "host elements")
+        flat[: values.size] = values
         if self.fault_injector is not None:
             self.fault_injector.maybe_corrupt(host=dst)
         self._end_memory_api(

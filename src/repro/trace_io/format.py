@@ -401,6 +401,17 @@ class TraceReader:
             self._file = open(path, "rb")
         except OSError as exc:
             raise TraceError(f"cannot open trace {path!r}: {exc}") from exc
+        try:
+            self._load(salvage)
+        except BaseException:
+            # A refused trace must not leak its file handle.
+            self._file.close()
+            raise
+
+    def _load(self, salvage: bool) -> None:
+        """Read the header and footer, or refuse the file with a
+        :class:`TraceError`."""
+        path = self.path
         magic = self._file.read(len(MAGIC))
         if magic != MAGIC:
             raise TraceError(f"{path!r} is not a ValueExpert trace")

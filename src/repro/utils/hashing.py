@@ -8,16 +8,18 @@ Digests are *chunked*: a snapshot's raw bytes are split into fixed-size
 chunks, each chunk hashed separately, and the chunk digests combined.
 Arrays not exceeding one chunk keep the plain SHA256 of their bytes.
 The chunking exists so the snapshot store can maintain digests
-incrementally — after a partial refresh only the dirty chunks are
-rehashed — while standalone callers (host arrays, the coarse detector)
-compute the identical digest by hashing every chunk.  Every consumer
-must go through this module so device and host digests stay comparable.
+incrementally: a refresh compares the new bytes with the old ones
+chunk by chunk (:func:`changed_chunks`) and rehashes only the chunks
+that differ, since a chunk whose bytes are equal has an equal SHA256.
+Standalone callers (host arrays, the coarse detector) compute the
+identical digest by hashing every chunk.  Every consumer must go
+through this module so device and host digests stay comparable.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +30,39 @@ DIGEST_CHUNK_BYTES = 64 * 1024
 def _raw_view(snapshot: np.ndarray) -> memoryview:
     data = np.ascontiguousarray(snapshot)
     return memoryview(data).cast("B")
+
+
+def changed_chunks(
+    old: np.ndarray, new: np.ndarray, offset: int = 0
+) -> Iterator[int]:
+    """Yield, ascending, the chunks in which ``new``'s bytes differ from
+    ``old``'s.
+
+    ``old`` and ``new`` hold the same number of bytes, which sit at byte
+    ``offset`` of a snapshot; the yielded indices are that snapshot's
+    chunks.  The bytes are compared one chunk at a time, so for
+    contiguous arrays the comparison's scratch never exceeds two
+    chunks, and a caller that only asks whether anything differs stops
+    at the first difference.
+    """
+    a = _raw_view(old)
+    b = _raw_view(new)
+    if a.nbytes != b.nbytes:
+        raise ValueError(f"byte counts differ ({a.nbytes} vs {b.nbytes})")
+    pos = 0
+    while pos < a.nbytes:
+        index = (offset + pos) // DIGEST_CHUNK_BYTES
+        end = min(a.nbytes, (index + 1) * DIGEST_CHUNK_BYTES - offset)
+        # bytes() copies the slices and compares them with memcmp; a
+        # memoryview comparison would unpack them byte by byte.
+        if bytes(a[pos:end]) != bytes(b[pos:end]):
+            yield index
+        pos = end
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold exactly the same raw bytes."""
+    return a.nbytes == b.nbytes and next(changed_chunks(a, b), None) is None
 
 
 def chunk_digests(snapshot: np.ndarray) -> List[str]:
