@@ -603,9 +603,14 @@ class GpuRuntime(EventBus):
         )
         self._begin(event)
         values = src.prefix_view(nbytes // src.dtype.itemsize)
-        flat = dst.data.reshape(-1)
-        _check_copy_source(event, values.size, flat.size, "host elements")
-        flat[: values.size] = values
+        host = dst.data
+        _check_copy_source(event, values.size, host.size, "host elements")
+        if host.flags.c_contiguous:
+            host.reshape(-1)[: values.size] = values
+        else:
+            # reshape(-1) would be a copy: write in C order through the
+            # array's own strides.
+            host.flat[: values.size] = values
         if self.fault_injector is not None:
             self.fault_injector.maybe_corrupt(host=dst)
         self._end_memory_api(

@@ -15,7 +15,7 @@ points lie on the line within tolerance.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +25,73 @@ from repro.patterns.base import (
     PatternConfig,
     PatternHit,
 )
+
+
+#: float64 holds every integer of smaller magnitude exactly.
+_EXACT_LIMIT = 2**53
+
+
+def first_accesses(
+    addresses: np.ndarray, step: int
+) -> Tuple[np.ndarray, Union[slice, np.ndarray]]:
+    """``np.unique(indices, return_index=True)`` of the element indices
+    ``(addresses - addresses.min()) / step`` in float64, with no sort
+    when the address stream allows it.
+
+    Returns the ascending distinct indices and the positions of their
+    first accesses: a slice when no sort was needed, else an index
+    array.  Integer addresses need none in two cases, both only when
+    float64 holds the addresses involved exactly (condition 1 below):
+
+    - they ascend strictly throughout, so every access is its
+      element's first;
+    - they are *covering*: the longest strictly ascending prefix
+      ``addresses[:p]`` is the run ``addresses[0] + k * step`` for
+      ``k < p``, and every later address repeats one of its elements.
+      The indices then deduplicate to ``0 .. p-1``, each first
+      accessed at position ``k``.
+
+    A covering stream is recognised by four conditions, with ``a`` the
+    addresses and ``p < n`` the prefix length:
+
+    1. ``-2**53 < a[0]`` and ``a[p-1] < 2**53``;
+    2. ``a[p-1] - a[0] == (p - 1) * step``;
+    3. every later address lies in ``[a[0], a[p-1]]``;
+    4. every address is congruent to ``a[0]`` modulo ``step``.
+
+    Condition 1 keeps every address exact in float64, and with
+    condition 2 so is each ``a[k] - a[0] = k * step`` for any head that
+    fits in memory, so ``np.unique`` would see the indices ``k`` too.
+    """
+    n = addresses.size
+    if addresses.dtype.kind in "iu" and n:
+        ascends = addresses[1:] > addresses[:-1]
+        head = n if ascends.all() else int(ascends.argmin()) + 1
+        first = int(addresses[0])
+        if -_EXACT_LIMIT < first and int(addresses[head - 1]) < _EXACT_LIMIT:
+            if head == n:
+                return (addresses.astype(np.float64) - first) / step, slice(None)
+            if _covers(addresses, head, step):
+                return np.arange(head, dtype=np.float64), slice(head)
+    addresses = addresses.astype(np.float64)
+    return np.unique((addresses - addresses.min()) / step, return_index=True)
+
+
+def _covers(addresses: np.ndarray, head: int, step: int) -> bool:
+    """Conditions 2-4 of a covering stream (see :func:`first_accesses`)."""
+    first, last = addresses[0], addresses[head - 1]
+    if int(last) - int(first) != (head - 1) * step:
+        return False
+    rest = addresses[head:]
+    if rest.min() < first or rest.max() > last:
+        return False
+    if step == 1:
+        return True
+    if step & (step - 1):
+        return not (addresses % step != int(first) % step).any()
+    # A power-of-two step (every dtype's) compares low bits instead: a
+    # third of the cost of an integer remainder.
+    return not np.bitwise_or.reduce(addresses ^ first) & (step - 1)
 
 
 def fit_structured(
@@ -73,17 +140,13 @@ def detect_structured_values(
     summary = view.summary
     if not summary.finite or summary.distinct.size < config.structured_min_distinct:
         return None
-    values = summary.values.astype(np.float64)
-    addresses = np.asarray(view.addresses).ravel().astype(np.float64)
-    # Work on element indices rather than raw addresses for conditioning.
-    indices = (addresses - addresses.min()) / max(view.itemsize, 1)
-    # Deduplicate by address: repeated accesses to one element must see
+    # Work on element indices rather than raw addresses for conditioning,
+    # deduplicated by address: repeated accesses to one element must see
     # one value for a functional relation to exist at all.
-    if (indices[1:] > indices[:-1]).all():
-        uniq_idx, uniq_val = indices, values
-    else:
-        uniq_idx, first_pos = np.unique(indices, return_index=True)
-        uniq_val = values[first_pos]
+    uniq_idx, first_pos = first_accesses(
+        np.asarray(view.addresses).ravel(), max(view.itemsize, 1)
+    )
+    uniq_val = summary.values[first_pos].astype(np.float64)
     if uniq_idx.size < config.structured_min_distinct:
         return None
     fit = fit_structured(uniq_idx, uniq_val)

@@ -347,11 +347,14 @@ class FaultInjector:
             raw = data.view(np.uint8)
             target = alloc.label
         elif host is not None:
-            try:
-                raw = host.data.reshape(-1).view(np.uint8)
-            except (AttributeError, ValueError):
+            data = host.data
+            if not isinstance(data, np.ndarray):
                 return
-            data = None
+            # Flip in C order: through a view of a C-contiguous array,
+            # else in a C-order copy written back below.
+            if not data.flags.c_contiguous:
+                data = data.copy()
+            raw = data.reshape(-1).view(np.uint8)
             target = host.label
         else:
             return
@@ -363,6 +366,8 @@ class FaultInjector:
         raw[positions] ^= (np.uint8(1) << bits.astype(np.uint8))
         if alloc is not None:
             alloc.write_all(data)
+        elif data is not host.data:
+            host.data[...] = data
         self._fire(
             FaultKind.CORRUPTION, f"{nflips} bit flip(s) in {target!r}"
         )

@@ -30,6 +30,7 @@ a launch recorded without records replays without records.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +38,7 @@ import numpy as np
 
 import repro.obs as telemetry
 from repro.errors import TraceError
+from repro.gpu.dtypes import DType
 from repro.gpu.kernel import Kernel
 from repro.gpu.memory import Allocation
 from repro.gpu.runtime import (
@@ -71,81 +73,208 @@ from repro.trace_io.format import (
     TraceReader,
 )
 
-#: Meta keys replay reads, per event kind (after the common ones).
-_COMMON_KEYS = ("seq", "time_s", "annotation", "stream", "call_path")
-_EVENT_KEYS = {
-    EVENT_MALLOC: ("alloc",),
-    EVENT_FREE: ("alloc",),
-    EVENT_MEMCPY: ("kind", "nbytes", "dst", "src"),
-    EVENT_MEMSET: ("alloc", "byte_value", "nbytes"),
-    EVENT_LAUNCH: (
-        "kernel", "grid", "block", "shared_ranges", "stats", "touched",
-        "records", "post",
+
+_DTYPE_NAMES = frozenset(dtype.value for dtype in DType)
+_MEMCPY_KINDS = frozenset(kind.value for kind in MemcpyKind)
+_STAT_FIELDS = frozenset(field.name for field in dataclasses.fields(KernelStats))
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or type(value) is float
+
+
+def _is_text(value) -> bool:
+    return type(value) is str
+
+
+def _is_dtype(value) -> bool:
+    return type(value) is str and value in _DTYPE_NAMES
+
+
+def _list_of(test):
+    """A test that passes a JSON list whose items all pass ``test``."""
+    return lambda value: type(value) is list and all(map(test, value))
+
+
+def _is_call_frame(value) -> bool:
+    return (
+        type(value) is list
+        and len(value) == 3
+        and _is_text(value[0])
+        and _is_text(value[1])
+        and _is_int(value[2])
+    )
+
+
+_are_call_frames = _list_of(_is_call_frame)
+
+
+def _is_shared_range(value) -> bool:
+    return (
+        type(value) is list
+        and len(value) == 3
+        and _is_int(value[0])
+        and _is_int(value[1])
+        and (value[2] is None or _is_dtype(value[2]))
+    )
+
+
+def _is_stats(value) -> bool:
+    return value is None or (
+        type(value) is dict
+        and all(k in _STAT_FIELDS and _is_number(v) for k, v in value.items())
+    )
+
+
+#: What replay can use, as ``(test, description)``; None checks only
+#: that the key is present (its container is checked on its own).
+_INT = (_is_int, "an integer")
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_NUMBER = (_is_number, "a number")
+_TEXT = (_is_text, "a string")
+_FLAG = (lambda v: type(v) is bool, "a boolean")
+
+#: Meta keys replay reads: those of every frame, then each event kind's.
+_COMMON_KEYS = {
+    "seq": _INT,
+    "time_s": _NUMBER,
+    "annotation": (_list_of(_is_text), "a list of strings"),
+    "stream": _INT,
+    "call_path": (
+        lambda v: v is None or _are_call_frames(v),
+        "null or a list of [function, filename, line]",
     ),
 }
-_ALLOC_KEYS = ("alloc_id", "address", "size", "dtype", "label")
-_TOUCHED_KEYS = ("alloc", "nread", "nwritten")
-_RECORD_KEYS = ("pc", "kind", "dtype", "kernel_name")
-_POST_KEYS = ("alloc_id", "address")
+_EVENT_KEYS = {
+    EVENT_MALLOC: {"alloc": None},
+    EVENT_FREE: {"alloc": None},
+    EVENT_MEMCPY: {
+        "kind": (lambda v: _is_text(v) and v in _MEMCPY_KINDS, "a copy kind"),
+        "nbytes": _COUNT,
+        "dst": None,
+        "src": None,
+    },
+    EVENT_MEMSET: {
+        "alloc": None,
+        "byte_value": (lambda v: type(v) is int and 0 <= v < 256, "a byte value"),
+        "nbytes": _COUNT,
+    },
+    EVENT_LAUNCH: {
+        "kernel": _TEXT,
+        "grid": _COUNT,
+        "block": _COUNT,
+        "shared_ranges": (
+            _list_of(_is_shared_range), "a list of [start, end, dtype]"
+        ),
+        "stats": (_is_stats, "null or an object of kernel counters"),
+        "touched": None,
+        "records": None,
+        "post": None,
+    },
+}
+#: The meta keys of each event kind, common ones included.
+_FRAME_KEYS = {kind: {**_COMMON_KEYS, **keys} for kind, keys in _EVENT_KEYS.items()}
+_ALLOC_KEYS = {
+    "alloc_id": _INT,
+    "address": (lambda v: type(v) is int and 0 <= v < 1 << 64, "a 64-bit address"),
+    "size": _COUNT,
+    "dtype": (_is_dtype, "a dtype name"),
+    "label": _TEXT,
+}
+#: Keys checked only when present: v1 and v2 frames and descriptors
+#: carry no ``device``.
+_OPTIONAL_META_KEYS = {"device": _COUNT}
+_OPTIONAL_ALLOC_KEYS = {"device": _COUNT, "freed": _FLAG}
+_TOUCHED_KEYS = {"alloc": None, "nread": _COUNT, "nwritten": _COUNT}
+_RECORD_KEYS = dict.fromkeys(("pc", "kind", "dtype", "kernel_name"))
+_POST_KEYS = {"alloc_id": _INT, "address": _INT}
 
 
-class _MissingKey(Exception):
-    """A frame lacks a key its replay reads (the message names it)."""
+class _Malformed(Exception):
+    """A frame lacks a key its replay reads, or holds a value replay
+    cannot use (the message names the key)."""
 
 
-def _require(obj, keys, where: str) -> None:
-    """Raise :class:`_MissingKey` unless the JSON object ``obj`` has ``keys``."""
+def _require(obj, keys: dict, where: str, optional: Optional[dict] = None) -> None:
+    """Raise :class:`_Malformed` unless the JSON object ``obj`` has
+    ``keys``, each passing its test, and those of ``optional`` it has
+    pass theirs."""
     if not isinstance(obj, dict):
-        raise _MissingKey(f"{where!r} is not a JSON object")
-    for key in keys:
+        raise _Malformed(f"{where!r} is not a JSON object")
+    for key, check in keys.items():
         if key not in obj:
-            path = f"{where}.{key}" if where else key
-            raise _MissingKey(f"lacks key {path!r}")
+            raise _Malformed(f"lacks key {_path(where, key)!r}")
+        if check is not None:
+            _check_value(obj[key], check, where, key)
+    if optional:
+        for key, check in optional.items():
+            if key in obj:
+                _check_value(obj[key], check, where, key)
+
+
+def _check_value(value, check, where: str, key: str) -> None:
+    test, expected = check
+    if not test(value):
+        raise _Malformed(
+            f"has key {_path(where, key)!r} = {value!r:.40}; expected {expected}"
+        )
+
+
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _require_alloc(desc, where: str) -> None:
+    """:func:`_require` for an allocation descriptor."""
+    _require(desc, _ALLOC_KEYS, where, _OPTIONAL_ALLOC_KEYS)
 
 
 def _listed(meta: dict, name: str) -> list:
     """``meta[name]``, which must be a JSON list."""
     entries = meta[name]
     if not isinstance(entries, list):
-        raise _MissingKey(f"{name!r} is not a JSON list")
+        raise _Malformed(f"{name!r} is not a JSON list")
     return entries
 
 
 def _check_frame(kind: int, meta: dict, arrays: dict) -> None:
-    """Raise :class:`_MissingKey` if replaying the frame would read a meta
-    key, descriptor key or array the frame lacks.
+    """Raise :class:`_Malformed` if replaying the frame would read a meta
+    key, descriptor key or array the frame lacks, or a frame-level value
+    or allocation descriptor it cannot use.
 
-    Only presence is checked (and that the containers holding the keys
-    are JSON objects and lists); ill-typed values are left to the code
-    that reads them.
+    Record metas are checked for their keys only.
     """
-    _require(meta, _COMMON_KEYS + _EVENT_KEYS[kind], "")
+    _require(meta, _FRAME_KEYS[kind], "", _OPTIONAL_META_KEYS)
     if kind == EVENT_MEMCPY:
         if "host" in arrays:
-            _require(meta, ("host_label",), "")
+            _require(meta, {"host_label": _TEXT}, "")
         elif (
             meta["kind"] == MemcpyKind.HOST_TO_DEVICE.value
             and meta["dst"] is not None
         ):
-            raise _MissingKey("lacks array 'host'")
+            raise _Malformed("lacks array 'host'")
         for name in ("dst", "src"):
             if meta[name] is not None:
-                _require(meta[name], _ALLOC_KEYS, name)
+                _require_alloc(meta[name], name)
     elif kind == EVENT_LAUNCH:
         for index, entry in enumerate(_listed(meta, "touched")):
             _require(entry, _TOUCHED_KEYS, f"touched[{index}]")
-            _require(entry["alloc"], _ALLOC_KEYS, f"touched[{index}].alloc")
+            _require_alloc(entry["alloc"], f"touched[{index}].alloc")
         for index, record in enumerate(_listed(meta, "records")):
             _require(record, _RECORD_KEYS, f"records[{index}]")
             for name in record_arrays(record, index):
                 if name not in arrays:
-                    raise _MissingKey(f"lacks array {name!r}")
+                    raise _Malformed(f"lacks array {name!r}")
         for index, entry in enumerate(_listed(meta, "post")):
             _require(entry, _POST_KEYS, f"post[{index}]")
             if f"p{index}" not in arrays:
-                raise _MissingKey(f"lacks array 'p{index}'")
+                raise _Malformed(f"lacks array 'p{index}'")
     else:
-        _require(meta["alloc"], _ALLOC_KEYS, "alloc")
+        _require_alloc(meta["alloc"], "alloc")
 
 
 class _ReplayArena:
@@ -328,13 +457,14 @@ class TraceReplayer(EventBus):
 
     def _replay_one(self, index: int, kind: int, meta: dict, arrays: dict) -> None:
         """Replay event ``index``, refusing it before any listener sees
-        it when it lacks a key its replay reads.  The per-kind handler
+        it when it lacks a key its replay reads or holds a value replay
+        cannot use.  The per-kind handler
         begins the event and applies its effect; the end is published
         here, at the recorded time."""
-        if kind in _EVENT_KEYS:
+        if kind in _FRAME_KEYS:
             try:
                 _check_frame(kind, meta, arrays)
-            except _MissingKey as exc:
+            except _Malformed as exc:
                 raise TraceError(
                     f"event {index} ({EVENT_NAMES[kind]}) in {self.path!r} "
                     f"{exc}"

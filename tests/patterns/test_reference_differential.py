@@ -109,13 +109,25 @@ def views(draw):
     # The object's element size need not be the access width: a wider
     # one makes fractional element indices, a narrower one gaps.
     itemsize = draw(st.sampled_from([dtype.itemsize, dtype.itemsize, 1, 8]))
-    layout = draw(st.sampled_from(["ascending", "permuted", "repeated", "sparse"]))
+    layout = draw(st.sampled_from(
+        ["ascending", "permuted", "repeated", "sparse", "covering"]
+    ))
     if layout == "ascending":
         index = list(range(n))
     elif layout == "permuted":
         index = draw(st.permutations(list(range(n))))
     elif layout == "repeated":
         index = draw(st.lists(st.integers(0, max(n // 2, 1)), min_size=n, max_size=n))
+    elif layout == "covering":
+        # An ascending head, then re-reads of its elements that see the
+        # head's value or another one.
+        head = draw(st.integers(min(n, 1), n))
+        index = list(range(head)) + draw(st.lists(
+            st.integers(0, max(head - 1, 0)), min_size=n - head, max_size=n - head
+        ))
+        for position in range(head, n):
+            if draw(st.booleans()):
+                values[position] = values[index[position]]
     else:
         index = draw(st.lists(st.integers(0, 1 << 20), min_size=n, max_size=n))
     base = draw(st.integers(0, 1 << 32))

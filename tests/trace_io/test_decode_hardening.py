@@ -9,6 +9,12 @@ whose offset or byte count is infinite.  A strict reader must raise
 :class:`TraceError` carrying the offset of the damaged frame (never a
 raw json/zlib exception or a ``MemoryError``), and a resilient replay
 must return the prefix profile with the damage in its health report.
+
+The ill-typed cases keep the frame readable but give one of its
+frame-level values (a launch's ``time_s``, a memcpy's ``kind``, a
+malloc's ``alloc.size``, ...) a type or range replay cannot use.  The
+reader returns such a frame; replay must refuse it, naming the event
+and the key, before any listener sees it.
 """
 
 import gc
@@ -23,8 +29,17 @@ import pytest
 from repro import ToolConfig, ValueExpert
 from repro.cli import main
 from repro.errors import DegradedProfileWarning, TraceError
+from repro.gpu.runtime import RuntimeListener
 from repro.trace_io import TraceReplayer
-from repro.trace_io.format import MAGIC, TraceReader
+from repro.trace_io.format import (
+    EVENT_LAUNCH,
+    EVENT_MALLOC,
+    EVENT_MEMCPY,
+    EVENT_MEMSET,
+    EVENT_NAMES,
+    MAGIC,
+    TraceReader,
+)
 from repro.tracediff import extract_summary
 from repro.workloads import get_workload
 
@@ -64,13 +79,15 @@ def _split(blob, offset):
     )
 
 
-def _rewrite(recorded, tmp_path, edit):
-    """Write the recording with its coded frame replaced by ``edit``.
+def _rewrite(recorded, tmp_path, edit, target=None):
+    """Write the recording with its coded frame (or frame ``target``)
+    replaced by ``edit``.
 
     ``edit(meta, payload)`` returns ``(meta, payload, payload_len)``;
     the footer offset is moved by however much the frame grew.
     """
-    blob, offsets, target = recorded
+    blob, offsets, coded = recorded
+    target = coded if target is None else target
     start, end = offsets[target], offsets[target + 1]
     kind, meta, payload = _split(blob, start)
     meta, payload, payload_len = edit(meta, payload)
@@ -148,6 +165,43 @@ MALFORMED = [
     _huge_n,
     _descriptor("offset", float("inf")),
     _descriptor("nbytes", float("-inf")),
+]
+
+
+def _meta_edit(kind, key, value):
+    """An edit setting ``key`` (``alloc.size``: a key of the allocation
+    descriptor) in the meta of the first frame of ``kind``."""
+
+    def edit(meta, payload):
+        decoded = json.loads(meta)
+        *parents, leaf = key.split(".")
+        target = decoded
+        for parent in parents:
+            target = target[parent]
+        target[leaf] = value
+        return json.dumps(decoded).encode(), payload, len(payload)
+
+    edit.__name__ = f"_{EVENT_NAMES[kind]}-{key}-{json.dumps(value)}"
+    edit.target = kind, key
+    return edit
+
+
+#: Readable frames whose frame-level values replay cannot use.
+ILL_TYPED = [
+    _meta_edit(EVENT_LAUNCH, "time_s", "x"),
+    _meta_edit(EVENT_LAUNCH, "stats", [1]),
+    _meta_edit(EVENT_LAUNCH, "annotation", 5),
+    _meta_edit(EVENT_LAUNCH, "call_path", 5),
+    _meta_edit(EVENT_LAUNCH, "shared_ranges", [[1]]),
+    _meta_edit(EVENT_LAUNCH, "grid", "x"),
+    _meta_edit(EVENT_LAUNCH, "seq", "x"),
+    _meta_edit(EVENT_LAUNCH, "stream", "x"),
+    _meta_edit(EVENT_MEMCPY, "kind", 99),
+    _meta_edit(EVENT_MEMCPY, "nbytes", "x"),
+    _meta_edit(EVENT_MALLOC, "alloc.size", -5),
+    _meta_edit(EVENT_MALLOC, "alloc.device", "x"),
+    _meta_edit(EVENT_MALLOC, "alloc.address", "x"),
+    _meta_edit(EVENT_MEMSET, "byte_value", "x"),
 ]
 
 
@@ -316,3 +370,71 @@ def test_cli_replay_reports_malformed_input(
         path = _footer_kernels(recorded, tmp_path, BAD_KERNEL_TABLES[table])
     assert main(["replay", path, "--shards", str(shards)]) == 1
     assert capsys.readouterr().err.startswith("repro: error:")
+
+
+# -- ill-typed frame metas --------------------------------------------------------
+
+
+def _ill_typed(recorded, tmp_path, edit):
+    """The recording with ``edit`` applied to the first frame of its kind;
+    returns the path, the frame's index and the edited key."""
+    kind, key = edit.target
+    blob, offsets, _ = recorded
+    # Not the last frame: the rewrite splices up to the next one.
+    target = [_split(blob, offset)[0] for offset in offsets[:-1]].index(kind)
+    path, _ = _rewrite(recorded, tmp_path, edit, target)
+    return path, target, key
+
+
+def _ids(edit):
+    return edit.__name__[1:]
+
+
+@pytest.mark.parametrize("edit", ILL_TYPED, ids=_ids)
+def test_ill_typed_meta_is_read_but_refused_by_replay(recorded, tmp_path, edit):
+    path, target, key = _ill_typed(recorded, tmp_path, edit)
+    with TraceReader(path) as reader:
+        assert len(list(reader.events())) == len(recorded[1])
+    with pytest.raises(TraceError) as err:
+        ValueExpert(ToolConfig()).profile_from_trace(path)
+    assert f"event {target} " in str(err.value)
+    assert repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("edit", ILL_TYPED, ids=_ids)
+def test_no_listener_sees_an_ill_typed_frame(recorded, tmp_path, edit):
+    path, target, _ = _ill_typed(recorded, tmp_path, edit)
+    seen = []
+
+    class Count(RuntimeListener):
+        def on_api_begin(self, event):
+            seen.append(event)
+
+    with TraceReplayer(path) as replayer:
+        replayer.subscribe(Count())
+        with pytest.raises(TraceError):
+            replayer.replay()
+    assert len(seen) == target
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("edit", ILL_TYPED, ids=_ids)
+def test_resilient_replay_reports_ill_typed_meta(recorded, tmp_path, edit, shards):
+    path, target, key = _ill_typed(recorded, tmp_path, edit)
+    with pytest.warns(DegradedProfileWarning):
+        profile = ValueExpert(ToolConfig(resilient=True)).profile_from_trace(
+            path, shards=shards
+        )
+    assert profile.health.workload_aborted
+    assert profile.health.abort_reason.startswith("TraceError")
+    assert repr(key) in profile.health.abort_reason
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("edit", ILL_TYPED, ids=_ids)
+def test_cli_replay_reports_ill_typed_meta(recorded, tmp_path, capsys, edit, shards):
+    path, _, key = _ill_typed(recorded, tmp_path, edit)
+    assert main(["replay", path, "--shards", str(shards)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error:")
+    assert repr(key) in err
