@@ -92,6 +92,38 @@ def test_kinded_hot_path_matches_figure4_merge(benchmark, stream):
     )
 
 
+def _cfd_like_stream(rows: int = 6250, seed: int = 2):
+    """Scattered 4-byte gathers shaped like rodinia/cfd's: shuffled
+    elements with repeats, in a record of loads then one of stores,
+    each a whole number of warps (so no row mixes kinds)."""
+    rng = np.random.default_rng(seed)
+    count = rows * 32
+    starts = rng.integers(0, count // 4, count).astype(np.uint64) * np.uint64(4)
+    kinds = np.full(count, KIND_STORE, dtype=np.uint8)
+    kinds[: rows * 3 // 4 * 32] = KIND_LOAD
+    return np.stack([starts, starts + np.uint64(4)], axis=1), kinds
+
+
+def test_cfd_like_gathers_match_both_oracles(benchmark):
+    """The production shape: rows that barely compact, each sorted.
+
+    Per kind, the compacted runs are :func:`warp_compact`'s on that
+    kind's records, and each coverage is the Figure 4 merge's.
+    """
+    stream, kinds = _cfd_like_stream()
+
+    def hot_path():
+        compacted = warp_compact_kinds(stream, kinds)
+        return compacted, merge_parallel_kinds(*compacted)
+
+    (compacted, ckinds), merged = benchmark(hot_path)
+    assert np.array_equal(merged.combined, merge_parallel(stream))
+    for kind, coverage in ((KIND_LOAD, merged.reads), (KIND_STORE, merged.writes)):
+        subset = stream[kinds == kind]
+        assert np.array_equal(compacted[ckinds == kind], warp_compact(subset))
+        assert np.array_equal(coverage, merge_parallel(subset))
+
+
 def test_merge_after_compaction_is_cheaper(benchmark):
     """The two-stage pipeline: compaction shrinks the merge's input."""
     compacted = warp_compact(INTERVALS)

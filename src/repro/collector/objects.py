@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.gpu.dtypes import DType
 from repro.gpu.memory import Allocation
+from repro.intervals.interval import run_points
 from repro.utils.callpath import CallPath
 
 
@@ -200,12 +201,7 @@ class DataObjectRegistry:
         if total == 0:
             return
         iv_idx = np.repeat(np.arange(merged.shape[0]), counts)
-        run_offsets = np.cumsum(counts) - counts
-        obj_idx = (
-            np.repeat(first, counts)
-            + np.arange(total)
-            - np.repeat(run_offsets, counts)
-        ).astype(np.int64)
+        obj_idx = run_points(first, counts)
         lo = np.maximum(ivs[iv_idx], starts[obj_idx])
         hi = np.minimum(ive[iv_idx], ends[obj_idx])
         keep = lo < hi

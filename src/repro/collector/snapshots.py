@@ -25,6 +25,7 @@ import numpy as np
 from repro.collector.objects import DataObject
 from repro.errors import CollectionError
 from repro.intervals.copyplan import CopyPlan
+from repro.intervals.interval import run_points
 from repro.utils.hashing import (
     DIGEST_CHUNK_BYTES,
     changed_chunks,
@@ -195,16 +196,29 @@ class SnapshotStore:
     def element_indices(
         self, obj: DataObject, intervals: np.ndarray
     ) -> np.ndarray:
-        """Element indices of an object covered by byte intervals."""
+        """Element indices of an object covered by byte intervals.
+
+        Each interval gives the elements it overlaps, clipped to the
+        object, in interval order; an element that two intervals share
+        appears once for each.
+        """
         if intervals.size == 0:
             return np.empty(0, dtype=np.int64)
         itemsize = obj.dtype.itemsize
-        pieces = []
-        for start, end in intervals:
-            lo = max(0, (int(start) - obj.address) // itemsize)
-            hi = min(obj.handle.nelems, -(-(int(end) - obj.address) // itemsize))
-            if lo < hi:
-                pieces.append(np.arange(lo, hi, dtype=np.int64))
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces)
+        nelems = obj.handle.nelems
+        if intervals.shape[0] == 1:
+            # Most calls pass one interval; plain ints cost less here.
+            start, end = intervals[0].tolist()
+            lo = max(0, (start - obj.address) // itemsize)
+            hi = min(nelems, -(-(end - obj.address) // itemsize))
+            if lo >= hi:
+                return np.empty(0, dtype=np.int64)
+            return np.arange(lo, hi, dtype=np.int64)
+        # Byte offsets into the object, clamped at its start, so nothing
+        # wraps below it or overflows near 2**64.
+        address = np.uint64(obj.address)
+        offsets = np.maximum(np.asarray(intervals, np.uint64), address) - address
+        lo = np.minimum(offsets[:, 0] // itemsize, nelems).astype(np.int64)
+        ends = offsets[:, 1]
+        hi = np.minimum(ends // itemsize + (ends % itemsize != 0), nelems)
+        return run_points(lo, np.maximum(hi.astype(np.int64) - lo, 0))

@@ -11,6 +11,10 @@ The simulation groups per-thread intervals into warp-sized chunks and
 merges runs *within each chunk only* — deliberately weaker than a full
 merge, exactly like the hardware version, so the Figure 4 pass that
 follows still has work to do.
+
+:func:`warp_compact` is the scalar reference; the collector's
+:func:`warp_compact_kinds` sorts each chunk's starts and ends apart, as
+the merge in :mod:`repro.intervals.parallel` does.
 """
 
 from __future__ import annotations
@@ -68,11 +72,10 @@ def warp_compact_kinds(
     Returns the compacted ``(m, 2)`` array (column-major, so its starts
     and ends are each contiguous) and its parallel flags.  The pass is
     vectorized across chunks, with no Python loop over the stream.
-    Chunks are rows of a 2-D layout; only the rows not already in
-    (kind, start) order are sorted, and one row running maximum of the
-    ends finds the runs, redone per kind only in rows that mix kinds.
-    Real streams are mostly ordered single-kind rows (one coalesced
-    instruction per warp), so both extra steps are rare.
+    Chunks are rows of a 2-D layout whose starts and ends are sorted
+    each on its own (by kind first in rows that mix kinds): a run breaks
+    after lane ``i`` exactly where ``starts[i + 1] > ends[i]``, and ends
+    at ``ends[i]``.
     """
     arr = as_interval_array(intervals)
     kinds = np.asarray(kinds, dtype=np.uint8)
@@ -86,8 +89,8 @@ def warp_compact_kinds(
 
     # Lay the stream out as (nrows, warp_size) rows so every chunk is
     # processed at once.  A partial last row is padded with copies of
-    # the final lane: a copy sorts next to its original, never starts
-    # a run and never raises a run's end, so the output is unchanged.
+    # the final lane: a copy duplicates an interval of its own row and
+    # kind, which changes no run, so the output is unchanged.
     nrows = -(-n // warp_size)
     size = nrows * warp_size
     s = np.empty(size, dtype=np.uint64)
@@ -101,77 +104,59 @@ def warp_compact_kinds(
     rows_e = e.reshape(nrows, warp_size)
     rows_k = k.reshape(nrows, warp_size)
 
-    # Find the rows out of (kind, start) order and the rows that mix
-    # kinds from the lane pairs (i, i + 1) of one row where the start
-    # descends or the kind changes.
-    kind_change = k[1:] != k[:-1]
-    suspect = kind_change | (s[1:] < s[:-1])
-    suspect[warp_size - 1 :: warp_size] = False
-    pairs = np.flatnonzero(suspect)
-    changes = kind_change[pairs]
-    descending = (k[pairs + 1] < k[pairs]) | (
-        ~changes & (s[pairs + 1] < s[pairs])
-    )
-    unordered = _rows_of(pairs[descending] // warp_size, nrows)
-    mixed = _rows_of(pairs[changes] // warp_size, nrows)
-
-    # Sort the unordered rows into (kind, start) order, matching the
-    # scalar path's start-sorted, per-ascending-kind sub-streams.  The
-    # order among equal (kind, start) lanes cannot change a run, and
-    # while no row mixes kinds, start order is that order.
-    if unordered.size:
-        rs, re = rows_s[unordered], rows_e[unordered]
-        if mixed.size:
-            rk = rows_k[unordered]
-            order = np.lexsort((rs, rk), axis=1)
-            rows_k[unordered] = np.take_along_axis(rk, order, axis=1)
-        else:
-            order = np.argsort(rs, axis=1)
-        rows_s[unordered] = np.take_along_axis(rs, order, axis=1)
-        rows_e[unordered] = np.take_along_axis(re, order, axis=1)
-
-    # A run ends where the next start exceeds the running maximum end
-    # of its (row, kind) segment.  One row running maximum serves every
-    # single-kind row.  Rows that mix kinds redo it masked to one kind
-    # at a time (each kind's lanes are contiguous after the sort, and
-    # lanes of other kinds contribute 0), and also break at each kind
-    # change.
-    reach = np.maximum.accumulate(rows_e, axis=1)
-    breaks = np.empty(size, dtype=bool)
-    breaks[1:] = s[1:] > reach.ravel()[:-1]
-    rows_breaks = breaks.reshape(nrows, warp_size)
-    rows_breaks[:, 0] = True
+    # Rows that mix kinds (a record whose length is not a multiple of
+    # the warp size) are sorted by (kind, start) and by (kind, end),
+    # from copies taken before every row is sorted in place.
+    changes = np.flatnonzero(k[1:] != k[:-1])
+    mixed = np.unique(changes[changes % warp_size != warp_size - 1] // warp_size)
     if mixed.size:
-        me, mk = rows_e[mixed], rows_k[mixed]
-        mixed_reach = np.zeros_like(me)
-        for flag in np.unique(mk):
-            mask = mk == flag
-            kind_reach = np.maximum.accumulate(np.where(mask, me, 0), axis=1)
-            mixed_reach[mask] = kind_reach[mask]
-        reach[mixed] = mixed_reach
-        rows_breaks[mixed, 1:] = (mk[:, 1:] != mk[:, :-1]) | (
-            rows_s[mixed, 1:] > mixed_reach[:, :-1]
-        )
+        by_kind = _sort_by_kind(rows_s[mixed], rows_e[mixed], rows_k[mixed])
+    rows_s.sort(axis=1)
+    rows_e.sort(axis=1)
+    if mixed.size:
+        rows_s[mixed], rows_e[mixed], rows_k[mixed] = by_kind
 
-    # Flattened row-major, head order is exactly the scalar output
-    # order: per chunk, per ascending kind, runs by start.  Each row's
-    # first lane is a head, so a run's last lane (the lane before the
-    # next head) is in its own row, and ``reach`` there is its end.
-    heads = np.flatnonzero(breaks)
-    last = np.empty_like(heads)
-    last[:-1] = heads[1:] - 1
-    last[-1] = size - 1
-    out = np.empty((2, heads.size), dtype=np.uint64)
-    np.take(s, heads, out=out[0])
-    np.take(reach.ravel(), last, out=out[1])
-    return out.T, k[heads]
+    # Lane i heads a run if it starts a row or a kind, or if its start
+    # exceeds the end of lane i - 1; lane i ends a run if lane i + 1
+    # heads one (the last lane always does).  Flattened row-major, head
+    # order is exactly the scalar output order: per chunk, per
+    # ascending kind, runs by start.
+    breaks = np.empty(size + 1, dtype=bool)
+    np.greater(s[1:], e[:-1], out=breaks[1:size])
+    breaks[:size:warp_size] = True
+    breaks[size] = True
+    if mixed.size:
+        breaks[1:size] |= k[1:] != k[:-1]
+    heads, lasts = breaks[:-1], breaks[1:]
+    return np.stack((s[heads], e[lasts])).T, k[heads]
 
 
-def _rows_of(lane_rows: np.ndarray, nrows: int) -> np.ndarray:
-    """The distinct row indices in ``lane_rows``, ascending."""
-    present = np.zeros(nrows, dtype=bool)
-    present[lane_rows] = True
-    return np.flatnonzero(present)
+#: Sorts after every start and ties with any end.
+_LARGEST = np.uint64(2**64 - 1)
+
+
+def _sort_by_kind(
+    rows_s: np.ndarray, rows_e: np.ndarray, rows_k: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows sorted by (kind, start), by (kind, end) and by kind.
+
+    One kind at a time: its lanes are sorted with every other lane set
+    to the largest address, so they lead each row, and then move to the
+    lanes where that kind sits in the row's sorted kinds.
+    """
+    sorted_k = np.sort(rows_k, axis=1)
+    sorted_s = np.empty_like(rows_s)
+    sorted_e = np.empty_like(rows_e)
+    lanes = np.arange(rows_k.shape[1])
+    for flag in np.unique(rows_k):
+        of_kind = rows_k == flag
+        leading = lanes < np.count_nonzero(of_kind, axis=1)[:, None]
+        slots = sorted_k == flag
+        for rows, out in ((rows_s, sorted_s), (rows_e, sorted_e)):
+            alone = np.where(of_kind, rows, _LARGEST)
+            alone.sort(axis=1)
+            out[slots] = alone[leading]
+    return sorted_s, sorted_e, sorted_k
 
 
 def compaction_ratio(raw_count: int, compacted_count: int) -> float:

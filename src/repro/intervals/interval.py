@@ -111,6 +111,16 @@ def intervals_from_accesses_kinds(
     return out.T, np.repeat(np.array(flags, dtype=np.uint8), counts)
 
 
+def run_points(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The int64 points of the runs ``[lo[i], lo[i] + counts[i])``,
+    concatenated in order, with one ``repeat`` and no loop."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    points = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    points += np.repeat(np.asarray(lo, dtype=np.int64) - (ends - counts), counts)
+    return points
+
+
 def merge_reference(intervals: Iterable) -> List[Interval]:
     """Brute-force reference merge used as the test oracle.
 

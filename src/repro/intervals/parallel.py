@@ -23,8 +23,17 @@ sort; the numpy version preserves the structure and the results.
 
 :func:`merge_parallel` is kept step-for-step as the reference.  The
 collector's hot path, :func:`merge_parallel_kinds`, reaches the same
-coverages from one sort of the interval starts and running maxima over
-the ends.
+coverages from one exact fact.  Sort the starts ``S`` and the ends ``E``
+of a set of intervals each on its own.  Then the start-ordered sweep
+breaks a run after position ``i`` exactly when ``S[i+1] > E[i]``, and
+that run ends at ``E[i]``.  Proof: the running maximum ``R[i]`` of the
+first ``i+1`` ends in start order is at least ``E[i]``, the ``(i+1)``-th
+smallest end, so a break of the sweep (``S[i+1] > R[i]``) has
+``S[i+1] > E[i]``.  Conversely, if ``S[i+1] > E[i]``, the ``i+1``
+intervals with the smallest ends all start below ``S[i+1]``, so they are
+exactly the first ``i+1`` in start order, and ``R[i] = E[i]``.  The runs
+are ``(S[head], E[last])``: two plain sorts, with no argsort and no
+gather of ends or flags through a permutation.
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ def merge_parallel(intervals: Iterable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KindedMerge:
-    """The three merged coverages derived from one start sort."""
+    """The three merged coverages of one kind-tagged interval stream."""
 
     combined: np.ndarray
     reads: np.ndarray
@@ -99,38 +108,40 @@ def _empty_intervals() -> np.ndarray:
 
 
 def _coverage_runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Maximal covered runs of intervals already sorted by start.
+    """Maximal covered runs of the intervals ``[starts[i], ends[i])``.
 
-    A run breaks where a start exceeds the running maximum of every
-    earlier end; touching intervals (start == that maximum) merge.  The
-    run's end is the running maximum at its last interval.
+    The arrays are overwritten: the ends by their running maximum when
+    the starts ascend, else both sorted apart.  Either way a run breaks
+    after ``i`` where ``starts[i + 1] > ends[i]`` (touching intervals
+    merge) and ends at ``ends[i]``.
     """
     if starts.size == 0:
         return _empty_intervals()
-    reach = np.maximum.accumulate(ends)
-    heads = np.flatnonzero(starts[1:] > reach[:-1]) + 1
-    out = np.empty((heads.size + 1, 2), dtype=np.uint64)
+    if np.any(starts[1:] < starts[:-1]):
+        starts.sort()
+        ends.sort()
+    else:
+        np.maximum.accumulate(ends, out=ends)
+    last = np.flatnonzero(starts[1:] > ends[:-1])
+    out = np.empty((last.size + 1, 2), dtype=np.uint64)
     out[0, 0] = starts[0]
-    out[1:, 0] = starts[heads]
-    out[:-1, 1] = reach[heads - 1]
-    out[-1, 1] = reach[-1]
+    out[1:, 0] = starts[last + 1]
+    out[:-1, 1] = ends[last]
+    out[-1, 1] = ends[-1]
     return out
 
 
 def merge_parallel_kinds(intervals: Iterable, kinds: np.ndarray) -> KindedMerge:
-    """Kind-aware merge (the collector's hot path): one start sort,
-    three running-max sweeps.
+    """Kind-aware merge (the collector's hot path).
 
-    The interval starts are sorted once (not at all when they already
-    ascend, as after compacting a sequential sweep).  The combined,
-    read and write coverages each come from one running maximum over
-    the ends, taken on the start-sorted stream or on its LOAD / STORE
-    subset (a boolean subset keeps the sort order).  Ties between equal
-    starts cannot change a coverage, so any sort kind works.  The
-    results are bit-identical to running :func:`merge_parallel` (the
+    The read and write coverages are the runs of the LOAD and the STORE
+    subset: no sort when the subset's starts already ascend (as after
+    compacting a sequential sweep), else its starts and ends sorted
+    apart.  The combined coverage is the runs of those few thousand
+    runs and of any interval whose flags carry neither bit.  The
+    results are bit-identical to :func:`merge_parallel` (the
     step-for-step Figure 4 merge) on the full stream, the LOAD-only
-    subset and the STORE-only subset, without its 2n-endpoint
-    lexicographic sort.
+    subset and the STORE-only subset.
 
     ``kinds`` is a ``uint8`` vector parallel to ``intervals`` holding
     :data:`~repro.intervals.interval.KIND_LOAD` /
@@ -148,17 +159,18 @@ def merge_parallel_kinds(intervals: Iterable, kinds: np.ndarray) -> KindedMerge:
             _empty_intervals(), _empty_intervals(), _empty_intervals()
         )
 
-    starts, ends, flags = arr[:, 0], arr[:, 1], kinds
-    if np.any(starts[1:] < starts[:-1]):
-        order = np.argsort(starts)
-        starts, ends, flags = starts[order], ends[order], flags[order]
+    starts, ends = arr[:, 0], arr[:, 1]
 
-    def kind_runs(bit: int) -> np.ndarray:
-        mask = (flags & bit) != 0
+    def runs_of(mask: np.ndarray) -> np.ndarray:
+        # Boolean subsets are copies, which _coverage_runs may overwrite.
         return _coverage_runs(starts[mask], ends[mask])
 
+    reads = runs_of((kinds & KIND_LOAD) != 0)
+    writes = runs_of((kinds & KIND_STORE) != 0)
+    untagged = arr[(kinds & (KIND_LOAD | KIND_STORE)) == 0]
+    both = np.concatenate((reads, writes, untagged))
     return KindedMerge(
-        combined=_coverage_runs(starts, ends),
-        reads=kind_runs(KIND_LOAD),
-        writes=kind_runs(KIND_STORE),
+        combined=_coverage_runs(both[:, 0].copy(), both[:, 1].copy()),
+        reads=reads,
+        writes=writes,
     )

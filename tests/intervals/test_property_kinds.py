@@ -1,7 +1,8 @@
 """Property tests for the kind-aware single-pass interval pipeline.
 
-The one start sort of ``merge_parallel_kinds`` must be
-extensionally identical to running the Figure 4 merge three times —
+``merge_parallel_kinds``, which sorts each kind subset's starts and
+ends apart and takes the combined coverage from the per-kind runs, must
+be extensionally identical to running the Figure 4 merge three times —
 full stream, LOAD-only subset, STORE-only subset — and to the
 byte-level reference, for *any* tagged interval multiset.  These are
 the invariants the collector's single-pass launch path rests on.
@@ -21,6 +22,10 @@ from repro.intervals.interval import (
     merge_reference,
 )
 from repro.intervals.parallel import merge_parallel, merge_parallel_kinds
+from tests.intervals.test_warp_compact_vectorized import (
+    cfd_like_stream,
+    scattered_rows,
+)
 
 EMPTY = np.empty((0, 2), dtype=np.uint64)
 
@@ -159,6 +164,43 @@ def test_duplicate_nested_and_high_starts_match_both_oracles(tagged):
         assert np.array_equal(coverage, _merge_subset(arr, kinds, bit))
         assert coverage.tolist() == _reference_runs(subset)
         assert coverage.dtype == np.uint64
+
+
+def _assert_figure4_per_kind(merged, arr, kinds):
+    assert np.array_equal(merged.combined, merge_parallel(arr))
+    assert np.array_equal(merged.reads, _merge_subset(arr, kinds, KIND_LOAD))
+    assert np.array_equal(merged.writes, _merge_subset(arr, kinds, KIND_STORE))
+
+
+@given(scattered_rows, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_scattered_streams_match_figure4_per_kind(stream, by_start):
+    """Unordered, nested, tied and touching intervals with flags 0-3,
+    also above 2**63; sorted by start, a subset takes the no-sort path."""
+    arr, kinds = stream
+    if by_start:
+        order = np.argsort(arr[:, 0], kind="stable")
+        arr, kinds = arr[order], kinds[order]
+    _assert_figure4_per_kind(merge_parallel_kinds(arr, kinds), arr, kinds)
+    compacted = warp_compact_kinds(arr, kinds)
+    _assert_figure4_per_kind(merge_parallel_kinds(*compacted), arr, kinds)
+
+
+def test_cfd_like_gathers_match_figure4_per_kind():
+    arr, kinds = cfd_like_stream()
+    _assert_figure4_per_kind(merge_parallel_kinds(arr, kinds), arr, kinds)
+    compacted = warp_compact_kinds(arr, kinds)
+    _assert_figure4_per_kind(merge_parallel_kinds(*compacted), arr, kinds)
+
+
+def test_untagged_intervals_count_toward_combined_only():
+    """Flags without either bit bridge a gap in combined, not per kind."""
+    arr = np.array([[0, 4], [4, 8], [8, 12], [20, 24]], dtype=np.uint64)
+    kinds = np.array([KIND_LOAD, 0, KIND_STORE, 0], dtype=np.uint8)
+    merged = merge_parallel_kinds(arr, kinds)
+    assert merged.combined.tolist() == [[0, 12], [20, 24]]
+    assert merged.reads.tolist() == [[0, 4]]
+    assert merged.writes.tolist() == [[8, 12]]
 
 
 def _record(kind, addresses, values):

@@ -1,10 +1,13 @@
 """Differential tests for the vectorized kind-aware warp compaction.
 
 ``warp_compact_kinds`` was rewritten from a per-chunk Python loop to a
-single padded 2-D sort plus a flattened run-reduction.  These tests pin
-the vectorized implementation to an inline transliteration of the
-original scalar algorithm — output order included — across randomized
-streams and the edge shapes that the padding must get right.
+single padded 2-D layout whose rows' starts and ends are sorted each on
+its own, plus a flattened run-reduction.  These tests pin the vectorized
+implementation to an inline transliteration of the original scalar
+algorithm — output order included — across randomized streams, rows
+whose starts and ends are both out of order, a scattered-gather stream
+shaped like rodinia/cfd's, and the edge shapes that the padding must
+get right.
 """
 
 import numpy as np
@@ -114,6 +117,73 @@ def test_production_shaped_streams_match_scalar_reference(stream, warp_size):
     want_arr, want_kinds = _scalar_reference(arr, kinds, warp_size)
     assert np.array_equal(got_arr, want_arr)
     assert np.array_equal(got_kinds, want_kinds)
+
+
+def _stream_above(lanes, base, one_kind):
+    """Lanes ``(start, length, kind)`` above ``base``, all of the first
+    lane's kind when ``one_kind``."""
+    arr = np.array(
+        [(base + start, base + start + length) for start, length, _ in lanes],
+        dtype=np.uint64,
+    )
+    flags = [lanes[0][2] if one_kind else kind for _, _, kind in lanes]
+    return arr, np.array(flags, dtype=np.uint8)
+
+
+#: Rows whose starts and ends are both out of order, the case sorting
+#: them apart must get right: starts from a small pool (ties), lengths
+#: from 1 to 40 (unequal, nested and touching intervals), the flags 0-3
+#: in any order (rows mixing kinds out of order) or one kind throughout,
+#: stream lengths that leave a partial last row, and bases at and above
+#: 2**63.
+scattered_rows = st.builds(
+    _stream_above,
+    st.lists(
+        st.tuples(
+            st.sampled_from([0, 4, 8, 9, 16, 17, 40, 100]),
+            st.integers(min_value=1, max_value=40),
+            st.sampled_from([0, KIND_LOAD, KIND_STORE, KIND_LOAD | KIND_STORE]),
+        ),
+        min_size=1,
+        max_size=130,
+    ),
+    st.sampled_from([0, 2**63, 2**64 - 2**10]),
+    st.booleans(),
+)
+
+
+@given(scattered_rows, st.sampled_from([32, 32, 8, 5, 1]))
+@settings(max_examples=300, deadline=None)
+def test_scattered_rows_match_scalar_reference(stream, warp_size):
+    arr, kinds = stream
+    got_arr, got_kinds = warp_compact_kinds(arr, kinds, warp_size=warp_size)
+    want_arr, want_kinds = _scalar_reference(arr, kinds, warp_size)
+    assert np.array_equal(got_arr, want_arr)
+    assert np.array_equal(got_kinds, want_kinds)
+
+
+def cfd_like_stream(count=200_000, seed=7):
+    """Scattered 4-byte gathers shaped like rodinia/cfd's: shuffled
+    elements with repeats, in ten records of alternating kinds whose
+    lengths are not whole warps (so some rows mix kinds)."""
+    rng = np.random.default_rng(seed)
+    elements = rng.integers(0, count // 4, count).astype(np.uint64)
+    starts = np.uint64(0x7F00_0000_0000) + elements * np.uint64(4)
+    bounds = np.sort(rng.choice(np.arange(1, count), 9, replace=False))
+    kinds = np.empty(count, dtype=np.uint8)
+    for record, (lo, hi) in enumerate(zip([0, *bounds], [*bounds, count])):
+        kinds[lo:hi] = KIND_LOAD if record % 2 == 0 else KIND_STORE
+    return np.stack([starts, starts + np.uint64(4)], axis=1), kinds
+
+
+def test_cfd_like_gathers_match_scalar_reference():
+    arr, kinds = cfd_like_stream()
+    got_arr, got_kinds = warp_compact_kinds(arr, kinds)
+    want_arr, want_kinds = _scalar_reference(arr, kinds, 32)
+    assert np.array_equal(got_arr, want_arr)
+    assert np.array_equal(got_kinds, want_kinds)
+    # Scattered rows barely compact, as in the real launch.
+    assert got_arr.shape[0] > 0.9 * arr.shape[0]
 
 
 def test_ordered_rows_are_left_in_place_and_unordered_rows_sorted():
