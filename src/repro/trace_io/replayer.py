@@ -38,6 +38,7 @@ import numpy as np
 
 import repro.obs as telemetry
 from repro.errors import TraceError
+from repro.gpu.accesses import AccessKind
 from repro.gpu.dtypes import DType
 from repro.gpu.kernel import Kernel
 from repro.gpu.memory import Allocation
@@ -75,6 +76,7 @@ from repro.trace_io.format import (
 
 
 _DTYPE_NAMES = frozenset(dtype.value for dtype in DType)
+_ACCESS_KINDS = frozenset(kind.value for kind in AccessKind)
 _MEMCPY_KINDS = frozenset(kind.value for kind in MemcpyKind)
 _STAT_FIELDS = frozenset(field.name for field in dataclasses.fields(KernelStats))
 
@@ -190,7 +192,12 @@ _ALLOC_KEYS = {
 _OPTIONAL_META_KEYS = {"device": _COUNT}
 _OPTIONAL_ALLOC_KEYS = {"device": _COUNT, "freed": _FLAG}
 _TOUCHED_KEYS = {"alloc": None, "nread": _COUNT, "nwritten": _COUNT}
-_RECORD_KEYS = dict.fromkeys(("pc", "kind", "dtype", "kernel_name"))
+_RECORD_KEYS = {
+    "pc": _INT,
+    "kind": (lambda v: _is_text(v) and v in _ACCESS_KINDS, "an access kind"),
+    "dtype": (lambda v: v is None or _is_dtype(v), "null or a dtype name"),
+    "kernel_name": _TEXT,
+}
 _POST_KEYS = {"alloc_id": _INT, "address": _INT}
 
 
@@ -243,10 +250,8 @@ def _listed(meta: dict, name: str) -> list:
 
 def _check_frame(kind: int, meta: dict, arrays: dict) -> None:
     """Raise :class:`_Malformed` if replaying the frame would read a meta
-    key, descriptor key or array the frame lacks, or a frame-level value
-    or allocation descriptor it cannot use.
-
-    Record metas are checked for their keys only.
+    key, descriptor key or array the frame lacks, or a frame-level value,
+    allocation descriptor or record meta it cannot use.
     """
     _require(meta, _FRAME_KEYS[kind], "", _OPTIONAL_META_KEYS)
     if kind == EVENT_MEMCPY:

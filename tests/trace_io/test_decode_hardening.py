@@ -12,7 +12,8 @@ must return the prefix profile with the damage in its health report.
 
 The ill-typed cases keep the frame readable but give one of its
 frame-level values (a launch's ``time_s``, a memcpy's ``kind``, a
-malloc's ``alloc.size``, ...) a type or range replay cannot use.  The
+malloc's ``alloc.size``, ...) or record metas (a launch's
+``records[0].kind``, ...) a type or range replay cannot use.  The
 reader returns such a frame; replay must refuse it, naming the event
 and the key, before any listener sees it.
 """
@@ -170,14 +171,18 @@ MALFORMED = [
 
 def _meta_edit(kind, key, value):
     """An edit setting ``key`` (``alloc.size``: a key of the allocation
-    descriptor) in the meta of the first frame of ``kind``."""
+    descriptor; ``records[0].pc``: a key of the first record meta) in
+    the meta of the first frame of ``kind``."""
 
     def edit(meta, payload):
         decoded = json.loads(meta)
         *parents, leaf = key.split(".")
         target = decoded
         for parent in parents:
-            target = target[parent]
+            name, _, index = parent.partition("[")
+            target = target[name]
+            if index:
+                target = target[int(index.rstrip("]"))]
         target[leaf] = value
         return json.dumps(decoded).encode(), payload, len(payload)
 
@@ -202,6 +207,10 @@ ILL_TYPED = [
     _meta_edit(EVENT_MALLOC, "alloc.device", "x"),
     _meta_edit(EVENT_MALLOC, "alloc.address", "x"),
     _meta_edit(EVENT_MEMSET, "byte_value", "x"),
+    _meta_edit(EVENT_LAUNCH, "records[0].pc", "x"),
+    _meta_edit(EVENT_LAUNCH, "records[0].kind", 99),
+    _meta_edit(EVENT_LAUNCH, "records[0].dtype", "x"),
+    _meta_edit(EVENT_LAUNCH, "records[0].kernel_name", 5),
 ]
 
 
