@@ -9,12 +9,11 @@ hits, graph and objects must not change), with the checkout's source
 directory stripped from the source locations the hits carry, so two
 checkouts at different paths write the same file.
 
-The sign of a zero is folded too.  When a view's zeros mix -0.0 and
+The sign of a zero is not folded.  When a view's zeros mix -0.0 and
 +0.0, ``np.unique`` reports the merged zero with whichever sign its
-sort puts first, and that sort is dispatched by CPU feature: darknet's
-optimized profile names a frequent value -0.0 with AVX-512 and 0.0
-without it.  The reference oracle leaves that sign unspecified as well
-(``repro.patterns.reference.AnyOf``).
+sort puts first, and numpy picks that sort by CPU feature; the value
+summaries make that zero +0.0 (``repro.patterns.base.ViewSummary``),
+so the file is the same with AVX-512 on and off.
 
 The test regenerates ``benchmarks/out/profile_digests.txt``; CI runs it
 and fails on any difference from the committed file, as it does for the
@@ -25,7 +24,6 @@ overlap, trace-diff and static-lint baselines.  The scale is pinned
 import hashlib
 import json
 import os
-import re
 
 import repro
 from conftest import emit
@@ -39,17 +37,14 @@ SEEDS = (0, 1)
 #: The source directory every recorded source location starts with.
 SOURCE_ROOT = os.path.dirname(os.path.dirname(repro.__file__)) + os.sep
 
-#: A negative zero in a JSON number or a rendered numpy scalar.
-NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0\.0(?!\d)")
-
 
 def profile_digest(profile) -> str:
-    """sha256 of the profile's JSON form without counters, the checkout
-    path or the sign of zeros."""
+    """sha256 of the profile's JSON form without counters or the
+    checkout path."""
     data = profile.to_dict()
     data.pop("counters", None)
     text = json.dumps(data, sort_keys=True, default=str).replace(SOURCE_ROOT, "")
-    return hashlib.sha256(NEGATIVE_ZERO.sub("0.0", text).encode()).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _profile(name: str, seed: int, variant: str):

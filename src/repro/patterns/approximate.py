@@ -27,6 +27,7 @@ from repro.patterns.base import (
     PatternConfig,
     PatternHit,
     ViewSummary,
+    unsign_zero,
 )
 from repro.patterns.fine import value_hits
 
@@ -61,37 +62,25 @@ def truncated_summary(summary: ViewSummary, keep_bits: int) -> ViewSummary:
 
     Truncation is monotone, so truncating the sorted distinct values and
     merging equal neighbours gives what ``np.unique`` of the truncated
-    values would, with the merged counts summed.  Two cases fall back to
-    that ``np.unique``: a NaN, because truncation can turn one into ±inf;
-    and zeros of both signs, because ``np.unique`` then picks the sign of
-    the merged zero by sort order.
+    values would, with the merged counts summed and the zero entry made
+    +0.0 as :meth:`ViewSummary.of` does.  A NaN falls back to that
+    ``np.unique``, because truncation can turn one into ±inf.
     """
-    distinct = truncate_mantissa(summary.distinct, keep_bits)
-    if summary.has_nan or _mixes_zero_signs(summary, distinct):
+    if summary.has_nan:
         return ViewSummary.of(truncate_mantissa(summary.values, keep_bits))
+    distinct = truncate_mantissa(summary.distinct, keep_bits)
     starts = np.flatnonzero(
         np.concatenate(([True], distinct[1:] != distinct[:-1]))
     )
+    distinct = distinct[starts]
+    unsign_zero(distinct)
     return ViewSummary(
         n=summary.n,
         first=truncate_mantissa(summary.values[:1], keep_bits)[0],
-        distinct=distinct[starts],
+        distinct=distinct,
         counts=np.add.reduceat(summary.counts, starts),
         has_nan=False,
     )
-
-
-def _mixes_zero_signs(summary: ViewSummary, truncated: np.ndarray) -> bool:
-    """Whether the values that truncate to zero include -0.0 and +0.0."""
-    to_zero = truncated == 0
-    if not to_zero.any():
-        return False
-    negative = np.signbit(truncated[to_zero])
-    if (summary.distinct[to_zero] == 0).any():
-        # The distinct zero stands for every ±0 among the values.
-        values = summary.values
-        negative = np.concatenate((negative, np.signbit(values[values == 0])))
-    return bool(negative.any()) and not bool(negative.all())
 
 
 def detect_approximate_values(

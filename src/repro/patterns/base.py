@@ -96,15 +96,24 @@ class SnapshotPair:
     written_indices: Optional[np.ndarray] = None
 
 
+def unsign_zero(distinct: np.ndarray) -> None:
+    """Make the zero entry of sorted distinct values +0.0, in place."""
+    if distinct.dtype.kind == "f":
+        at = distinct.searchsorted(0)
+        if at < distinct.size and distinct[at] == 0:
+            distinct[at] = 0
+
+
 @dataclass(frozen=True, eq=False)
 class ViewSummary:
     """What one ``np.unique`` pass tells about a view's values.
 
     Every fine-grained detector reads this instead of re-deriving it
     from the raw values.  ``np.unique`` semantics: the distinct values
-    ascend; +0.0 and -0.0 are one entry, carrying whichever sign the
-    sort put first; and all NaNs are one trailing entry, whatever their
-    payloads.
+    ascend; +0.0 and -0.0 are one entry, which is +0.0 (``np.unique``
+    would give it the sign its sort put first, and numpy picks that
+    sort by CPU feature); and all NaNs are one trailing entry, whatever
+    their payloads.
     """
 
     #: Number of values.
@@ -126,6 +135,7 @@ class ViewSummary:
         """Summarise ``values`` with one sort."""
         values = np.asarray(values).ravel()
         distinct, counts = np.unique(values, return_counts=True)
+        unsign_zero(distinct)
         has_nan = (
             distinct.dtype.kind == "f"
             and distinct.size > 0

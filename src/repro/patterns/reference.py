@@ -14,7 +14,8 @@ The semantics it pins down:
 
 - Values are compared numerically: +0.0 and -0.0 are one value, and
   every NaN is one value whatever its payload (``np.unique`` with
-  ``equal_nan``).
+  ``equal_nan``).  A frequent zero is reported as +0.0, whatever signs
+  the zeros have.
 - Single value also holds when every element has the same bits, which
   makes uniformly-NaN data a single value.
 - Snapshots, by contrast, are compared bitwise: NaN payloads that match
@@ -24,10 +25,9 @@ The semantics it pins down:
 - Approximate values truncates the raw bits, so a NaN whose payload
   lives only in the dropped bits becomes an infinity.
 
-The frequent value is reported as :class:`AnyOf`, because two things
-about it are not a function of the values alone: which value wins a tie
-at the top count (the detector breaks the tie by sort order), and the
-sign of a frequent zero when the zeros mix -0.0 and +0.0.
+The frequent value is reported as :class:`AnyOf`, because which value
+wins a tie at the top count is not a function of the values alone (the
+detector breaks the tie by sort order).
 """
 
 from __future__ import annotations
@@ -134,31 +134,22 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
 
 def _frequent(elements: List[Element], config: PatternConfig) -> Optional[Metrics]:
     counts: Dict[object, int] = {}
-    #: the spellings seen of each class: both signs of zero, or one value.
-    spellings: Dict[object, list] = {}
+    #: the value reported for each class: its first element, +0.0 for zero.
+    spelling: Dict[object, object] = {}
     for _, number in elements:
         key = _value_class(number)
         counts[key] = counts.get(key, 0) + 1
-        seen = spellings.setdefault(key, [])
-        if not any(_identical(number, other) for other in seen):
-            seen.append(number)
+        spelling.setdefault(key, abs(number) if key == 0 else number)
     top = max(counts.values())
     share = top / len(elements)
     if share < config.frequent_threshold:
         return None
-    options = [x for key, c in counts.items() if c == top for x in spellings[key]]
+    options = [spelling[key] for key, c in counts.items() if c == top]
     return {
         "top_value": AnyOf(tuple(options)),
         "share": share,
         "distinct_values": len(counts),
     }
-
-
-def _identical(a, b) -> bool:
-    """Same value and, for zeros, same sign; any two NaNs are identical."""
-    if a != a or b != b:
-        return a != a and b != b
-    return a == b and math.copysign(1, a) == math.copysign(1, b)
 
 
 def _single_value(elements: List[Element], config: PatternConfig) -> Optional[Metrics]:

@@ -197,10 +197,34 @@ def test_truncated_summary_matches_unique_of_truncated_values(view, keep_bits):
 
 @pytest.mark.parametrize("copies", [5, 40])
 def test_truncated_summary_keeps_the_sign_unique_picks(copies):
-    """+0.0 and a negative subnormal merge into one zero; np.unique picks
-    its sign by sort order, which the derivation must reproduce."""
+    """+0.0 and a negative subnormal merge into one zero, which both
+    summaries must report as +0.0."""
     values = _floats([0x00000000] * copies + [0x80000001] * copies + [0x3F800000] * 2)
     _assert_truncation_matches(values, 10)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("order", ["negative_first", "positive_first", "mixed"])
+def test_a_frequent_zero_is_positive_whatever_the_signs(dtype, order):
+    """Mixed -0.0 and +0.0 are one distinct +0.0, in the summary, its
+    truncation and the reported frequent value."""
+    zeros = {
+        "negative_first": [-0.0] * 6 + [0.0] * 6,
+        "positive_first": [0.0] * 6 + [-0.0] * 6,
+        "mixed": [-0.0, 0.0] * 6,
+    }[order]
+    values = np.array(zeros + [1.5, -2.0, 3.0], dtype=dtype)
+    for summary in (
+        ViewSummary.of(values), truncated_summary(ViewSummary.of(values), 4)
+    ):
+        zero = summary.distinct[summary.distinct == 0]
+        assert zero.size == 1 and not np.signbit(zero[0])
+        assert summary.counts[summary.distinct == 0].tolist() == [12]
+    (hit,) = [
+        hit for hit in assert_matches_reference(_view(values))
+        if hit.pattern is Pattern.FREQUENT_VALUES
+    ]
+    assert math.copysign(1.0, hit.metrics["top_value"]) == 1.0
 
 
 def _assert_truncation_matches(values, keep_bits):
