@@ -28,6 +28,11 @@ record's meta says how to rebuild them:
 - ``"addr": [first, step]`` — addresses are ``first + step * arange(n)``
   modulo 2**64 (a descending run has a step past 2**63).
 
+:func:`delta_keys_for` names the arrays whose bytes mostly repeat an
+earlier array's, for the writer's XOR delta: each post-launch snapshot,
+and from v4 on each copy's host array that holds a whole allocation,
+under the key of that allocation's identity.
+
 Decoding of full events lives in :mod:`repro.trace_io.replayer`, which
 owns the replay-side allocation state; this module only decodes the
 stateless pieces (call paths, dtypes, access records, kernels).
@@ -51,6 +56,7 @@ from repro.gpu.runtime import (
     KernelLaunchEvent,
     MallocEvent,
     MemcpyEvent,
+    MemcpyKind,
     MemsetEvent,
 )
 from repro.trace_io.format import (
@@ -154,7 +160,13 @@ def _address_run(addresses: np.ndarray) -> Optional[List[int]]:
 def encode_event(
     event: ApiEvent, version: int = VERSION
 ) -> Tuple[int, dict, ArrayDict]:
-    """Encode one post-effect API event as a frame of format ``version``."""
+    """Encode one post-effect API event as a frame of format ``version``.
+
+    The frame's arrays are views of the event's host and device memory,
+    not copies: hand them to
+    :meth:`~repro.trace_io.format.TraceWriter.write_event` (which copies
+    each once) before the runtime's next API changes that memory.
+    """
     meta = _common_meta(event)
     arrays: ArrayDict = {}
     if isinstance(event, MallocEvent):
@@ -174,7 +186,7 @@ def encode_event(
         )
         if event.host_array is not None:
             meta["host_label"] = event.host_array.label
-            arrays["host"] = np.array(event.host_array.data, copy=True)
+            arrays["host"] = event.host_array.data
         return EVENT_MEMCPY, meta, arrays
     if isinstance(event, MemsetEvent):
         meta["alloc"] = alloc_descriptor(event.alloc)
@@ -236,7 +248,7 @@ def _encode_launch(
         post.append(
             {"alloc_id": int(alloc.alloc_id), "address": int(alloc.address)}
         )
-        arrays[f"p{len(post) - 1}"] = alloc.read_all()
+        arrays[f"p{len(post) - 1}"] = alloc.prefix_view(alloc.nelems)
     meta["post"] = post
 
 
@@ -282,29 +294,55 @@ def _implied_columns(columns: ArrayDict, block: int) -> dict:
     return implied
 
 
-def delta_keys_for(kind: int, meta: dict) -> Dict[str, str]:
+def _alloc_key(desc: dict) -> str:
+    """The delta key of an allocation's contents."""
+    return f"post:{desc['alloc_id']}:{desc['address']}"
+
+
+def _holds_whole(host: np.ndarray, desc: dict) -> bool:
+    """Whether a copy's host array has exactly the bytes of the whole
+    allocation ``desc``: same dtype, and the snapshot's byte length."""
+    dtype = DType(desc["dtype"]).np_dtype
+    snapshot = desc["size"] // dtype.itemsize * dtype.itemsize
+    return host.dtype == dtype and host.nbytes == snapshot
+
+
+def delta_keys_for(
+    kind: int, meta: dict, arrays: ArrayDict, version: int = VERSION
+) -> Dict[str, str]:
     """Delta keys for a frame's arrays, by array name.
 
     Post-launch snapshots (``p<N>`` arrays) of the same allocation
     repeat with few changed bytes launch to launch, so they are keyed
     by allocation identity: a v2 writer XOR-encodes each against the
-    previous snapshot of that allocation (see
+    previous array written under that key (see
     :meth:`~repro.trace_io.format.TraceWriter.write_event`).
+
+    From v4 on, a copy's ``host`` array joins the same chain when it
+    holds the whole allocation on the device side (the destination of
+    an H2D copy, the source of a D2H one), so a re-upload of unchanged
+    bytes is stored as zeros.  A partial or casting copy stays unkeyed:
+    its bytes are not the allocation's, and keying them would reset the
+    base the allocation's next snapshot is coded against.
     """
-    if kind != EVENT_LAUNCH:
-        return {}
-    return {
-        f"p{index}": f"post:{entry['alloc_id']}:{entry['address']}"
-        for index, entry in enumerate(meta.get("post", ()))
-    }
+    if kind == EVENT_LAUNCH:
+        return {
+            f"p{index}": _alloc_key(entry)
+            for index, entry in enumerate(meta.get("post", ()))
+        }
+    if kind == EVENT_MEMCPY and version >= 4 and "host" in arrays:
+        to_host = meta["kind"] == MemcpyKind.DEVICE_TO_HOST.value
+        desc = meta["src"] if to_host else meta["dst"]
+        if desc is not None and _holds_whole(arrays["host"], desc):
+            return {"host": _alloc_key(desc)}
+    return {}
 
 
 def released_delta_keys(kind: int, meta: dict) -> List[str]:
     """Delta keys a frame retires (freed allocations snapshot no more)."""
     if kind != EVENT_FREE:
         return []
-    alloc = meta["alloc"]
-    return [f"post:{alloc['alloc_id']}:{alloc['address']}"]
+    return [_alloc_key(meta["alloc"])]
 
 
 def record_arrays(record_meta: dict, index: int) -> List[str]:

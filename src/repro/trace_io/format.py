@@ -26,8 +26,9 @@ Format v2 keeps the container identical but makes the payload compact:
   the pre-compression length (descriptor offsets address the *raw*
   payload);
 - arrays registered under a *delta key* (the recorder keys post-launch
-  snapshots by allocation identity) are XOR-encoded against the
-  previous payload written under the same key when the lengths match;
+  snapshots, and from v4 on full-length host copies, by allocation
+  identity) are XOR-encoded against the previous array written under
+  the same key when the lengths match;
   the descriptor gains ``"dkey"`` (the key) and ``"delta": true`` when
   the XOR was applied.  Repeated snapshots of a mostly-unchanged
   allocation therefore become runs of zeros that zlib collapses.
@@ -41,7 +42,15 @@ Format v4 keeps the v3 container and payload encoding; only launch
 frames change.  An access record's thread ids, block ids and address
 run are left out of the payload when the launch implies them, and the
 record's meta names how to rebuild them (see
-:mod:`repro.trace_io.codec`).
+:mod:`repro.trace_io.codec`).  A v4 writer also hands zlib only the
+bytes a reader lacks, without changing what any v2+ reader decodes:
+
+- a full-length host array of a copy joins its allocation's delta
+  chain (:func:`repro.trace_io.codec.delta_keys_for`), so a re-upload
+  of unchanged bytes XORs to zeros;
+- each all-zero :data:`ZERO_CHUNK` of a raw payload is stored as one
+  precomputed deflate block instead of being deflated (see
+  :func:`_deflate`); the frame is still one standard zlib stream.
 
 Numpy arrays still round-trip bit-exactly, the metadata stays
 greppable JSON, and a reader can skip any frame without parsing its
@@ -143,6 +152,67 @@ def _inflate(payload: bytes, codec: dict) -> bytes:
     return raw
 
 
+#: The unit a v4 writer tests for all-zero bytes before deflating.
+ZERO_CHUNK = 1 << 16
+#: The header ``zlib.compress(data, 1)`` writes.
+_ZLIB_HEADER = b"\x78\x01"
+_ADLER_MOD = 65521
+
+
+def _raw_deflate(data, mode: int) -> bytes:
+    """``data`` as level-1 raw deflate blocks, ended by ``mode``."""
+    packer = zlib.compressobj(1, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return packer.compress(data) + packer.flush(mode)
+
+
+#: One :data:`ZERO_CHUNK` of zeros as raw deflate, ended by a sync
+#: flush: byte-aligned, and it refers to no byte before it, so it can
+#: stand for any zero chunk of any stream.
+_ZERO_BLOCK = _raw_deflate(bytes(ZERO_CHUNK), zlib.Z_SYNC_FLUSH)
+
+
+def _deflate(payload: np.ndarray, version: int) -> bytes:
+    """The zlib stream a frame of ``version`` stores for ``payload``.
+
+    Up to v3 it is ``zlib.compress(payload, 1)``, as is a v4 payload
+    with no all-zero :data:`ZERO_CHUNK`.  Otherwise the v4 stream is
+    the same header; each maximal run of other chunks deflated on its
+    own and ended by a sync flush, except the last run, which takes the
+    partial tail chunk and ends with the final block; each zero chunk
+    as :data:`_ZERO_BLOCK`; and the Adler-32 of the whole payload, with
+    the zero runs folded into it arithmetically.  Any zlib reader
+    inflates it to ``payload``.
+    """
+    full = len(payload) // ZERO_CHUNK if version >= 4 else 0
+    chunks = payload[: full * ZERO_CHUNK].view(np.uint64)
+    zero = ~chunks.reshape(full, ZERO_CHUNK // 8).any(axis=1)
+    if not zero.any():
+        return zlib.compress(payload, 1)
+    # The partial tail chunk counts as non-zero, so the last run always
+    # is and ends the stream.
+    zero = np.append(zero, False)
+    bounds = [0, *(np.flatnonzero(zero[1:] != zero[:-1]) + 1).tolist(), len(zero)]
+    view = memoryview(payload)
+    parts = [_ZLIB_HEADER]
+    adler = 1
+    for lo, hi in zip(bounds, bounds[1:]):
+        start, stop = lo * ZERO_CHUNK, min(hi * ZERO_CHUNK, len(payload))
+        if zero[lo]:
+            parts.append(_ZERO_BLOCK * (hi - lo))
+            # Adler-32 after n zero bytes: a stays, b grows by n * a.
+            a = adler & 0xFFFF
+            adler = ((adler >> 16) + (stop - start) * a) % _ADLER_MOD << 16 | a
+        else:
+            run = view[start:stop]
+            last = hi == len(zero)
+            parts.append(
+                _raw_deflate(run, zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH)
+            )
+            adler = zlib.adler32(run, adler)
+    parts.append(adler.to_bytes(4, "big"))
+    return b"".join(parts)
+
+
 #: Raw payload bytes a writer lets the deflate worker hold before the
 #: caller waits on the oldest frame (the newest frame never waits).
 MAX_IN_FLIGHT_BYTES = 8 << 20
@@ -155,10 +225,11 @@ class TraceWriter:
     :meth:`close`, so an unclosed (crashed) trace is detectably
     truncated rather than silently short.
 
-    From v2 on, frame payloads are deflated on one worker thread while
-    the caller goes on encoding events.  Frames still reach the file in
-    order, and all file I/O stays on the caller's thread: a frame is
-    written once its own and every earlier frame's compression is done.
+    From v2 on, frame payloads are deflated (:func:`_deflate`) on one
+    worker thread while the caller goes on encoding events.  Frames
+    still reach the file in order, and all file I/O stays on the
+    caller's thread: a frame is written once its own and every earlier
+    frame's compression is done.
     The newest frame may always be in flight; older ones make the
     caller wait only while the raw bytes in flight exceed
     :data:`MAX_IN_FLIGHT_BYTES`.  :meth:`close` and :meth:`tear` write
@@ -184,9 +255,9 @@ class TraceWriter:
         self.torn = False
         self.events_written = 0
         self._final_size: Optional[int] = None
-        #: delta key -> raw bytes of the last payload written under it
-        #: (v2 only; see :meth:`write_event`).
-        self._delta_state: Dict[str, bytes] = {}
+        #: delta key -> the writer's copy of the raw bytes of the last
+        #: array written under it (v2 on; see :meth:`write_event`).
+        self._delta_state: Dict[str, np.ndarray] = {}
         #: Frames not yet on disk, oldest first:
         #: ``(kind, meta, payload, compression future or None)``.
         self._pending: Deque[tuple] = deque()
@@ -217,13 +288,16 @@ class TraceWriter:
 
         ``delta_keys`` maps array names to stable string keys (e.g. an
         allocation identity).  Under format v2, a keyed array whose byte
-        length matches the previous payload written under the same key
-        is stored as the XOR against that payload; readers reverse the
+        length matches the previous array written under the same key
+        is stored as the XOR against that array; readers reverse the
         XOR statefully.  v1 writers ignore ``delta_keys`` entirely.
 
-        The arrays are copied into the payload before this returns, but
-        ``meta`` is serialized only when the frame reaches the file, so
-        the caller must not mutate it afterwards.
+        Each array is copied once, straight into the frame's payload
+        (XOR-ed there when delta-coded), before this returns; the writer
+        keeps its own copy of a keyed array's bytes as the next delta
+        base, so the caller may reuse its arrays.  ``meta`` is
+        serialized only when the frame reaches the file, so the caller
+        must not mutate it afterwards.
         """
         if self.torn:
             # A torn writer models a dead recording process: later
@@ -233,38 +307,41 @@ class TraceWriter:
             raise TraceError(f"trace {self.path!r} is already closed")
         use_v2 = self.version >= 2
         descriptors = {}
-        chunks = []
+        sources = []
         offset = 0
         for name, array in arrays.items():
             raw = np.ascontiguousarray(array)
             nbytes = int(raw.nbytes)
-            desc = {
+            descriptors[name] = {
                 "dtype": str(raw.dtype),
                 "shape": list(raw.shape),
                 "offset": offset,
                 "nbytes": nbytes,
             }
-            raw_bytes = raw.tobytes()
-            key = delta_keys.get(name) if (use_v2 and delta_keys) else None
-            if key is not None:
-                desc["dkey"] = key
-                previous = self._delta_state.get(key)
-                self._delta_state[key] = raw_bytes
-                if previous is not None and len(previous) == nbytes:
-                    raw_bytes = np.bitwise_xor(
-                        np.frombuffer(raw_bytes, dtype=np.uint8),
-                        np.frombuffer(previous, dtype=np.uint8),
-                    ).tobytes()
-                    desc["delta"] = True
-            descriptors[name] = desc
-            chunks.append(raw_bytes)
+            sources.append(raw.reshape(-1).view(np.uint8))
             offset += nbytes
+        payload = np.empty(offset, dtype=np.uint8)
+        for (name, desc), source in zip(descriptors.items(), sources):
+            start = desc["offset"]
+            out = payload[start : start + desc["nbytes"]]
+            key = delta_keys.get(name) if (use_v2 and delta_keys) else None
+            if key is None:
+                out[:] = source
+                continue
+            desc["dkey"] = key
+            base = self._delta_state.get(key)
+            if base is not None and len(base) == len(source):
+                np.bitwise_xor(source, base, out=out)
+                desc["delta"] = True
+                base[:] = source
+            else:
+                out[:] = source
+                self._delta_state[key] = source.copy()
         meta = dict(meta)
         meta["__arrays__"] = descriptors
-        payload = b"".join(chunks)
         deflated = None
-        if use_v2 and payload:
-            deflated = self._deflater.submit(zlib.compress, payload, 1)
+        if use_v2 and len(payload):
+            deflated = self._deflater.submit(_deflate, payload, self.version)
             self._in_flight += len(payload)
         self._pending.append((kind, meta, payload, deflated))
         self.events_written += 1
@@ -605,10 +682,14 @@ class TraceReader:
 
         Delta-encoded v2 arrays are decoded statefully; iteration
         always restarts from the first frame, so the delta chain is
-        complete regardless of how often ``events()`` is called.
+        complete regardless of how often ``events()`` is called.  Each
+        array is read out of the payload once, XOR-ed into its delta
+        base in place or copied; a keyed array's base is a copy of its
+        own, so a listener that mutates a yielded array cannot corrupt
+        the chain.
         """
         self._file.seek(self._events_start)
-        delta_state: Dict[str, bytes] = {}
+        delta_state: Dict[str, np.ndarray] = {}
         while self._file.tell() < self._footer_offset:
             frame_start = self._file.tell()
             try:
@@ -639,24 +720,27 @@ class TraceReader:
                             f"array {name!r} descriptor addresses bytes "
                             f"outside the payload"
                         )
-                    raw = payload[start : start + nbytes]
+                    raw = np.frombuffer(payload, np.uint8, nbytes, start)
                     key = desc.get("dkey")
                     if desc.get("delta"):
-                        previous = delta_state.get(key)
-                        if previous is None or len(previous) != nbytes:
+                        base = delta_state.get(key)
+                        if base is None or len(base) != nbytes:
                             raise ValueError(
                                 f"delta frame for {key!r} has no matching "
                                 f"base payload"
                             )
-                        raw = np.bitwise_xor(
-                            np.frombuffer(raw, dtype=np.uint8),
-                            np.frombuffer(previous, dtype=np.uint8),
-                        ).tobytes()
-                    if key is not None:
-                        delta_state[key] = bytes(raw)
+                        # The base becomes this array's bytes in place.
+                        np.bitwise_xor(raw, base, out=base)
+                        data = base.copy()
+                    else:
+                        data = raw.copy()
+                        if key is not None:
+                            delta_state[key] = data.copy()
+                    # The yielded array owns its bytes apart from the
+                    # delta base, so a listener may mutate it.
                     arrays[name] = np.frombuffer(
-                        raw, dtype=np.dtype(desc["dtype"])
-                    ).reshape(desc["shape"]).copy()
+                        data, dtype=np.dtype(desc["dtype"])
+                    ).reshape(desc["shape"])
             except (
                 ValueError, TypeError, KeyError, AttributeError, zlib.error
             ) as exc:

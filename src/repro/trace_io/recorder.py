@@ -75,10 +75,10 @@ class TraceRecorder(RuntimeListener):
         """Serialize one post-effect event."""
         if isinstance(event, KernelLaunchEvent):
             self._kernels.setdefault(event.kernel.name, event.kernel)
-        kind, meta, arrays = encode_event(event, self._writer.version)
-        self._writer.write_event(
-            kind, meta, arrays, delta_keys=delta_keys_for(kind, meta)
-        )
+        version = self._writer.version
+        kind, meta, arrays = encode_event(event, version)
+        delta_keys = delta_keys_for(kind, meta, arrays, version)
+        self._writer.write_event(kind, meta, arrays, delta_keys=delta_keys)
         for key in released_delta_keys(kind, meta):
             self._writer.release_delta(key)
         if self.fault_injector is not None and self.fault_injector.take_trace_tear(

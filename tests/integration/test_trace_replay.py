@@ -7,6 +7,8 @@ end to end over real workloads (the profile JSON round-trips exactly)
 and that the two-pass workflow executes the workload only once.
 """
 
+import json
+
 import pytest
 
 from repro.baselines.gvprof import GvprofProfiler
@@ -21,6 +23,14 @@ WORKLOADS = ["rodinia/bfs", "rodinia/backprop", "darknet"]
 #: Block sampling records thread ids with gaps: replay must rebuild the
 #: block ids a v4 trace implies from the stored ids, not from a ramp.
 BLOCK_SAMPLED = ["rodinia/bfs", "darknet", "lammps"]
+#: Copy-heavy programs at full instrumentation: lammps re-uploads whole
+#: staging buffers (delta-coded host arrays, zero-chunk streams); the
+#: optimized lammps and darknet also upload prefixes, which stay out of
+#: the delta chain.
+COPY_HEAVY = [("lammps", "baseline"), ("lammps", "optimized"), ("darknet", "optimized")]
+#: What a sharded replay must share with the serial one (counters are
+#: per-shard sums).
+_SHARD_EXACT = ("hits", "graph", "objects", "workload", "platform")
 
 
 def _trace(tmp_path, name):
@@ -51,6 +61,24 @@ def test_profile_from_trace_matches_direct_profile(tmp_path, name, block_period)
         assert records
         # Sampled thread ids may be stored raw; block ids stay implied.
         assert all("blk" in record for record in records)
+
+
+@pytest.mark.parametrize(
+    "name, variant", COPY_HEAVY, ids=[f"{n}-{v}" for n, v in COPY_HEAVY]
+)
+def test_copy_heavy_recording_replays_serially_and_sharded(tmp_path, name, variant):
+    path = _trace(tmp_path, f"{name}-{variant}")
+    workload = get_workload(name)(scale=0.25)
+    program = workload.run_baseline if variant == "baseline" else workload.run_optimized
+    live = ValueExpert(ToolConfig()).profile(program, name=name, record_path=path)
+    serial = ValueExpert(ToolConfig()).profile_from_trace(path)
+    assert serial.to_json() == live.to_json()
+    sharded = json.loads(
+        ValueExpert(ToolConfig()).profile_from_trace(path, shards=2).to_json()
+    )
+    expected = json.loads(live.to_json())
+    for section in _SHARD_EXACT:
+        assert sharded[section] == expected[section], section
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

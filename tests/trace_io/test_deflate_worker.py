@@ -1,7 +1,8 @@
 """The writer's deflate worker: same bytes, same order, bounded memory.
 
 From v2 on, :class:`TraceWriter` compresses frame payloads on one
-worker thread.  The file must not notice: every stored payload is the
+worker thread.  The file must not notice: every stored payload without
+an all-zero 64 KiB chunk (and, up to v3, every stored payload) is the
 ``zlib.compress(raw, 1)`` of its raw bytes, frames land in the order
 they were written, a torn recording still salvages exactly the frames
 handed to the writer, and closing the writer stops the worker.  The
