@@ -297,15 +297,24 @@ class _ReplayArena:
         self._arena = np.zeros(size, dtype=np.uint8)
 
 
-def _make_allocation(desc: dict) -> Allocation:
-    """Materialize a replayed allocation from its wire descriptor."""
+def _make_allocation(desc: dict, where: str) -> Allocation:
+    """Materialize a replayed allocation from its wire descriptor (the
+    frame's ``where``); a size the host cannot allocate is
+    :class:`_Malformed`."""
+    try:
+        memory = _ReplayArena(desc["address"], desc["size"])
+    except (MemoryError, ValueError) as exc:
+        raise _Malformed(
+            f"has key {_path(where, 'size')!r} = {desc['size']}; cannot "
+            f"allocate that many bytes to replay it ({exc})"
+        ) from None
     return Allocation(
         alloc_id=desc["alloc_id"],
         address=desc["address"],
         size=desc["size"],
         dtype=dtype_from_name(desc["dtype"]),
         label=desc["label"],
-        memory=_ReplayArena(desc["address"], desc["size"]),
+        memory=memory,
         freed=bool(desc.get("freed", False)),
         # .get(): v1/v2 traces predate multi-device and are all device 0.
         device=int(desc.get("device", 0)),
@@ -466,26 +475,26 @@ class TraceReplayer(EventBus):
         cannot use.  The per-kind handler
         begins the event and applies its effect; the end is published
         here, at the recorded time."""
-        if kind in _FRAME_KEYS:
-            try:
-                _check_frame(kind, meta, arrays)
-            except _Malformed as exc:
-                raise TraceError(
-                    f"event {index} ({EVENT_NAMES[kind]}) in {self.path!r} "
-                    f"{exc}"
-                ) from None
-        if kind == EVENT_MALLOC:
-            event = self._replay_malloc(meta)
-        elif kind == EVENT_FREE:
-            event = self._replay_free(meta)
-        elif kind == EVENT_MEMCPY:
-            event = self._replay_memcpy(meta, arrays)
-        elif kind == EVENT_MEMSET:
-            event = self._replay_memset(meta)
-        elif kind == EVENT_LAUNCH:
-            event = self._replay_launch(meta, arrays)
-        else:
+        if kind not in _FRAME_KEYS:
             raise TraceError(f"unknown event kind {kind} in {self.path!r}")
+        try:
+            _check_frame(kind, meta, arrays)
+            # Each handler adopts the frame's allocations before it
+            # begins the event, so an unusable size is refused here.
+            if kind == EVENT_MALLOC:
+                event = self._replay_malloc(meta)
+            elif kind == EVENT_FREE:
+                event = self._replay_free(meta)
+            elif kind == EVENT_MEMCPY:
+                event = self._replay_memcpy(meta, arrays)
+            elif kind == EVENT_MEMSET:
+                event = self._replay_memset(meta)
+            else:
+                event = self._replay_launch(meta, arrays)
+        except _Malformed as exc:
+            raise TraceError(
+                f"event {index} ({EVENT_NAMES[kind]}) in {self.path!r} {exc}"
+            ) from None
         event.time_s = meta["time_s"]
         self._end(event)
 
@@ -499,8 +508,9 @@ class TraceReplayer(EventBus):
             "device": meta.get("device", 0),
         }
 
-    def _resolve(self, desc: Optional[dict]) -> Optional[Allocation]:
-        """Find (or lazily adopt) the replayed allocation of a descriptor.
+    def _resolve(self, desc: Optional[dict], where: str) -> Optional[Allocation]:
+        """Find (or lazily adopt) the replayed allocation of a descriptor
+        (the frame's ``where``).
 
         Descriptors of allocations never seen as MALLOC events — shared
         memory, or objects allocated before the recorder attached — get
@@ -511,21 +521,21 @@ class TraceReplayer(EventBus):
             return None
         alloc = self._allocs.get((desc["alloc_id"], desc["address"]))
         if alloc is None:
-            alloc = _make_allocation(desc)
+            alloc = _make_allocation(desc, where)
         return alloc
 
     # -- per-event replay -----------------------------------------------------
 
     def _replay_malloc(self, meta: dict) -> MallocEvent:
+        alloc = _make_allocation(meta["alloc"], "alloc")
         event = MallocEvent(**self._common(meta))
         self._begin(event)
-        alloc = _make_allocation(meta["alloc"])
         self._allocs[(alloc.alloc_id, alloc.address)] = alloc
         event.alloc = alloc
         return event
 
     def _replay_free(self, meta: dict) -> FreeEvent:
-        alloc = self._resolve(meta["alloc"])
+        alloc = self._resolve(meta["alloc"], "alloc")
         alloc.freed = False  # live FreeEvent carries a still-live handle
         event = FreeEvent(alloc=alloc, **self._common(meta))
         self._begin(event)
@@ -540,8 +550,8 @@ class TraceReplayer(EventBus):
         event = MemcpyEvent(
             kind=MemcpyKind(meta["kind"]),
             nbytes=meta["nbytes"],
-            dst_alloc=self._resolve(meta["dst"]),
-            src_alloc=self._resolve(meta["src"]),
+            dst_alloc=self._resolve(meta["dst"], "dst"),
+            src_alloc=self._resolve(meta["src"], "src"),
             host_array=host,
             **self._common(meta),
         )
@@ -553,7 +563,7 @@ class TraceReplayer(EventBus):
 
     def _replay_memset(self, meta: dict) -> MemsetEvent:
         event = MemsetEvent(
-            alloc=self._resolve(meta["alloc"]),
+            alloc=self._resolve(meta["alloc"], "alloc"),
             byte_value=meta["byte_value"],
             nbytes=meta["nbytes"],
             **self._common(meta),
@@ -585,6 +595,14 @@ class TraceReplayer(EventBus):
                     "repro_resilience_stub_kernels_total",
                     "Stub kernels synthesized for salvaged traces.",
                 ).inc()
+        touched = [
+            (
+                self._resolve(entry["alloc"], f"touched[{index}].alloc"),
+                entry["nread"],
+                entry["nwritten"],
+            )
+            for index, entry in enumerate(meta["touched"])
+        ]
         grid = meta["grid"]
         block = meta["block"]
         # The *replay* listeners decide instrumentation, exactly as on
@@ -616,10 +634,7 @@ class TraceReplayer(EventBus):
                 self.fault_injector.mangle_records(event)
         stats = meta["stats"]
         event.stats = None if stats is None else KernelStats(**stats)
-        event.touched = [
-            (self._resolve(entry["alloc"]), entry["nread"], entry["nwritten"])
-            for entry in meta["touched"]
-        ]
+        event.touched = touched
         return event
 
     def _filter_records(self, meta, arrays, sampled) -> list:

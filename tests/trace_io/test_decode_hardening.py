@@ -13,7 +13,8 @@ must return the prefix profile with the damage in its health report.
 The ill-typed cases keep the frame readable but give one of its
 frame-level values (a launch's ``time_s``, a memcpy's ``kind``, a
 malloc's ``alloc.size``, ...) or record metas (a launch's
-``records[0].kind``, ...) a type or range replay cannot use.  The
+``records[0].kind``, ...) a type or range replay cannot use, or an
+allocation size no host can back (2**50 bytes).  The
 reader returns such a frame; replay must refuse it, naming the event
 and the key, before any listener sees it.
 """
@@ -204,6 +205,7 @@ ILL_TYPED = [
     _meta_edit(EVENT_MEMCPY, "kind", 99),
     _meta_edit(EVENT_MEMCPY, "nbytes", "x"),
     _meta_edit(EVENT_MALLOC, "alloc.size", -5),
+    _meta_edit(EVENT_MALLOC, "alloc.size", 2**50),
     _meta_edit(EVENT_MALLOC, "alloc.device", "x"),
     _meta_edit(EVENT_MALLOC, "alloc.address", "x"),
     _meta_edit(EVENT_MEMSET, "byte_value", "x"),
