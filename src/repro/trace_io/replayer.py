@@ -573,6 +573,14 @@ class TraceReplayer(EventBus):
         return event
 
     def _replay_launch(self, meta: dict, arrays: dict) -> KernelLaunchEvent:
+        touched = [
+            (
+                self._resolve(entry["alloc"], f"touched[{index}].alloc"),
+                entry["nread"],
+                entry["nwritten"],
+            )
+            for index, entry in enumerate(meta["touched"])
+        ]
         kernel = self.kernels.get(meta["kernel"])
         if kernel is None:
             if not self.salvage:
@@ -595,14 +603,6 @@ class TraceReplayer(EventBus):
                     "repro_resilience_stub_kernels_total",
                     "Stub kernels synthesized for salvaged traces.",
                 ).inc()
-        touched = [
-            (
-                self._resolve(entry["alloc"], f"touched[{index}].alloc"),
-                entry["nread"],
-                entry["nwritten"],
-            )
-            for index, entry in enumerate(meta["touched"])
-        ]
         grid = meta["grid"]
         block = meta["block"]
         # The *replay* listeners decide instrumentation, exactly as on
