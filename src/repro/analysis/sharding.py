@@ -1,16 +1,18 @@
-"""Sharded parallel trace analysis.
+"""Exact range replays, and sharded parallel trace analysis.
 
-A ``.vetrace`` recording is a deterministic event stream, so pattern
-analysis and value-flow-graph construction can be split across worker
-processes: partition the ``N`` events into contiguous ranges, give one
-worker per range, and merge the per-shard results.  The contract is
-exact — a sharded profile's pattern hits and flow graph are
-byte-identical to the serial replay's.
+Every replayed profile is made of exact range replays
+(:func:`replay_range`): the whole recording is the one range
+``[0, end)``, an ``--events A:B`` replay is ``[A, B)``, and a sharded
+replay partitions its range into contiguous ranges, gives one worker
+process per range, and merges the per-range results.  The contract is
+exact — a range's pattern hits are the serial replay's hits for its
+events, and a sharded profile's pattern hits and flow graph are
+byte-identical to the single range's.
 
 The trick is the warm-up.  Almost all analyzer state is *cumulative*
 (last writers, snapshot digests, reported duplicate groups, sampler
-phase), so a worker cannot start mid-stream cold.  Instead each worker
-replays its shard's **prefix** ``[0, start)`` in *passive* mode:
+phase), so a range cannot start mid-stream cold.  Instead each range
+replays its **prefix** ``[0, start)`` in *passive* mode:
 
 - the collector runs its normal pipeline — interval sweep, mirror
   refresh, incremental digests, sampler decisions — because mirror and
@@ -19,19 +21,19 @@ replays its shard's **prefix** ``[0, start)`` in *passive* mode:
 - a :class:`ShardOnlineAnalyzer` tracks, per live object, the vertex
   *identities* (alloc label/context, last writer's kind/name/context)
   the flow builder would hold, and runs the full duplicate-digest
-  bookkeeping — marking groups another shard already reported so this
-  shard will not re-report them — while emitting no hits, no vertices,
-  no edges, and running no detectors.
+  bookkeeping — marking groups an earlier range already reported so
+  this range will not re-report them — while emitting no hits, no
+  vertices, no edges, and running no detectors.
 
-At ``start`` the worker :meth:`~ShardOnlineAnalyzer.activate`\\ s: the
+At ``start`` the range :meth:`~ShardOnlineAnalyzer.activate`\\ s: the
 flow builder is seeded with vertices for every tracked identity (no
-invocation counts — those belong to the shards that observed the
-invocations) and the shard's own range ``[start, stop)`` replays with
-full analysis.  Merging (:func:`merge_shard_results`) then joins the
-local graphs on vertex identity (:mod:`repro.flowgraph.merge`), remaps
-every hit's ``v<id>:`` api reference, deduplicates hits exactly as the
-serial analyzer's ``(pattern, object, api ref)`` index does, and sums
-the per-shard counter deltas.
+invocation counts — those belong to the ranges that observed the
+invocations) and ``[start, stop)`` replays with full analysis.  Merging
+(:func:`merge_shard_results`) then joins the local graphs on vertex
+identity (:mod:`repro.flowgraph.merge`), remaps every hit's ``v<id>:``
+api reference, deduplicates hits exactly as the serial analyzer's
+``(pattern, object, api ref)`` index does, and sums the per-range
+counter deltas.
 """
 
 from __future__ import annotations
@@ -256,10 +258,11 @@ class ShardOnlineAnalyzer(OnlineAnalyzer):
 
 @dataclass
 class ShardResult:
-    """Everything one worker sends back to the merging parent."""
+    """Everything one range replay hands to the merge."""
 
     index: int
     start: int
+    #: the event the range stopped at (the end of a shorter recording).
     stop: int
     #: events the shard analyzed actively (its own range).
     events: int
@@ -271,7 +274,7 @@ class ShardResult:
     objects: List[ObjectInfo] = field(default_factory=list)
     #: counter deltas attributable to the active range.
     counters: CollectionCounters = field(default_factory=CollectionCounters)
-    #: total worker wall time (prefix warm-up + active range).
+    #: total wall time (prefix warm-up + active range).
     elapsed_s: float = 0.0
     #: wall time of the active range alone.
     active_s: float = 0.0
@@ -281,54 +284,62 @@ def run_shard(
     trace_path: str,
     index: int,
     start: int,
-    stop: int,
+    stop: Optional[int],
     config,
     salvage: bool = False,
 ) -> ShardResult:
-    """Replay ``[0, stop)`` of a trace, analyzing only ``[start, stop)``.
+    """Worker entry: :func:`replay_range` over a trace it opens itself.
 
-    Runs in a worker process (or inline for a single shard).  The
-    prefix replays passively — state reconstruction only — and the
-    shard's own range replays under full analysis; see the module
-    docstring for why the split is exact.
+    Runs in a worker process.  Telemetry is off while it replays:
+    worker-side spans would land in a registry nobody reads (the fork's
+    copy), and the parent's spans cover the fan-out.
     """
     telemetry_was_enabled = telemetry.ENABLED
     if telemetry_was_enabled:
-        # Worker-side spans would land in a registry nobody reads (the
-        # fork's copy); the parent's spans cover the fan-out.
         telemetry.disable()
     try:
-        return _replay_shard(trace_path, index, start, stop, config, salvage)
+        with TraceReplayer(trace_path, salvage=salvage) as replayer:
+            return replay_range(replayer, config, index, start, stop)[0]
     finally:
         if telemetry_was_enabled:
             telemetry.enable()
 
 
-def _replay_shard(trace_path, index, start, stop, config, salvage):
+def replay_range(
+    replayer: TraceReplayer,
+    config,
+    index: int,
+    start: int,
+    stop: Optional[int],
+    health=None,
+) -> Tuple[ShardResult, DataCollector]:
+    """Analyze events ``[start, stop)`` of a fresh replayer exactly.
+
+    ``[0, start)`` replays passively first (see the module docstring).
+    ``stop=None`` runs to the end of the recording; the result's
+    ``stop`` is the event the range actually stopped at.  With a
+    ``health`` report a replay error aborts into the report instead of
+    raising.  Returns the result and the collector that observed it.
+    """
     began = time.perf_counter()
     online = ShardOnlineAnalyzer(config.patterns, active=(start == 0))
     watermark = CollectionCounters()
     active_began = began
-    applied = 0
 
     def drive(collector: DataCollector) -> None:
-        nonlocal watermark, active_began, applied
-        collector.analysis_active = online.active
-        for event_index, (kind, meta, arrays) in enumerate(replayer.events()):
-            if event_index >= stop:
-                break
-            if event_index == start and not online.active:
-                online.activate()
-                collector.analysis_active = True
-                watermark = CollectionCounters(**vars(collector.counters))
-                active_began = time.perf_counter()
-            replayer.apply_event(kind, meta, arrays)
-            applied += 1
+        nonlocal watermark, active_began
+        if start > 0:
+            collector.analysis_active = False
+            replayer.replay(stop=start)
+            online.activate()
+            collector.analysis_active = True
+            watermark = CollectionCounters(**vars(collector.counters))
+            active_began = time.perf_counter()
+        replayer.replay(stop=stop)
 
-    with TraceReplayer(trace_path, salvage=salvage) as replayer:
-        profile, _, offline_hits = analyze(
-            config, replayer, drive, online=online, annotate=False
-        )
+    profile, collector, offline_hits = analyze(
+        config, replayer, drive, health=health, online=online, annotate=False
+    )
     finished = time.perf_counter()
     delta = CollectionCounters(
         **{
@@ -336,11 +347,11 @@ def _replay_shard(trace_path, index, start, stop, config, salvage):
             for name, value in vars(profile.counters).items()
         }
     )
-    return ShardResult(
+    result = ShardResult(
         index=index,
         start=start,
-        stop=stop,
-        events=max(applied - start, 0),
+        stop=replayer.events_replayed,
+        events=max(replayer.events_replayed - start, 0),
         graph=profile.graph,
         coarse_hits=profile.coarse_hits,
         fine_hits=profile.fine_hits,
@@ -350,6 +361,7 @@ def _replay_shard(trace_path, index, start, stop, config, salvage):
         elapsed_s=finished - began,
         active_s=finished - active_began,
     )
+    return result, collector
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +371,7 @@ def _replay_shard(trace_path, index, start, stop, config, salvage):
 
 def run_shards_parallel(
     trace_path: str,
-    ranges: Sequence[Tuple[int, int]],
+    ranges: Sequence[Tuple[int, Optional[int]]],
     config,
     salvage: bool = False,
 ) -> List[ShardResult]:
@@ -368,8 +380,6 @@ def run_shards_parallel(
         (trace_path, index, start, stop, config, salvage)
         for index, (start, stop) in enumerate(ranges)
     ]
-    if len(payloads) == 1:
-        return [run_shard(*payloads[0])]
     import multiprocessing
 
     method = (

@@ -735,8 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--events", metavar="START:STOP", default=None,
-        help="analyze only this event range (serial replay only); "
-        "earlier events just reconstruct device state",
+        help="analyze only this event range, exactly as the full replay "
+        "analyzes it: earlier events replay passively to rebuild its state",
     )
     replay.add_argument("--json", help="write the JSON profile")
 

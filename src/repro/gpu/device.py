@@ -10,6 +10,7 @@ shared-memory allocation per kernel launch.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -102,8 +103,10 @@ class GpuContext:
         if devices <= 0:
             raise InvalidValueError("a GpuContext needs at least one device")
         self.config = config
-        self._alloc_counter = 1
-        self._draw: Callable[[], int] = self._count
+        #: Draws the context's next allocation id.  A plain counter, not
+        #: a bound method, so the devices holding it form no cycle with
+        #: the context.
+        self._next_alloc_id: Callable[[], int] = itertools.count(1).__next__
         self.devices: List[Device] = []
         for _ in range(devices):
             self._add_device()
@@ -119,20 +122,11 @@ class GpuContext:
         """
         context = cls.__new__(cls)
         context.config = device.config
-        context._alloc_counter = 1
-        context._draw = device.memory._next_id
+        context._next_alloc_id = device.memory._next_id
         device.index = 0
         device.memory.device_index = 0
         context.devices = [device]
         return context
-
-    def _count(self) -> int:
-        value = self._alloc_counter
-        self._alloc_counter += 1
-        return value
-
-    def _next_alloc_id(self) -> int:
-        return self._draw()
 
     def _add_device(self) -> Device:
         device = Device(

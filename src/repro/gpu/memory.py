@@ -12,6 +12,7 @@ zero never aliases a valid object.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -37,7 +38,9 @@ class Allocation:
 
     The allocation exposes typed element views so workloads can treat it
     as an array of its element dtype while the profiler sees raw bytes
-    and addresses.
+    and addresses.  ``data`` is its own uint8 view of the bytes that
+    back it; the allocation holds no reference to its allocator, so a
+    dropped arena is freed without waiting for the cyclic collector.
     """
 
     alloc_id: int
@@ -45,7 +48,7 @@ class Allocation:
     size: int
     dtype: DType
     label: str
-    memory: "DeviceMemory" = field(repr=False)
+    data: np.ndarray = field(repr=False, compare=False)
     freed: bool = False
     #: Index of the device whose arena holds this allocation.  All
     #: devices share the same address base, so (device, address) — not
@@ -144,13 +147,11 @@ class Allocation:
         """Raw byte contents (for hashing / snapshots)."""
         self._check_live()
         length = self.size - start if length is None else length
-        offset = self.address - self.memory.base + start
-        return bytes(self.memory._arena[offset : offset + length])
+        return bytes(self.data[start : start + length])
 
     def _typed_view(self) -> np.ndarray:
-        offset = self.address - self.memory.base
         usable = self.nelems * self.dtype.itemsize
-        return self.memory._arena[offset : offset + usable].view(self.dtype.np_dtype)
+        return self.data[:usable].view(self.dtype.np_dtype)
 
     def _check_live(self) -> None:
         if self.freed:
@@ -185,13 +186,9 @@ class DeviceMemory:
         # Free list of (offset, size) holes, sorted by offset.
         self._free: List[Tuple[int, int]] = [(0, self.capacity)]
         self._live: Dict[int, Allocation] = {}
-        self._counter = 1
-        self._next_id = next_id or self._default_next_id
-
-    def _default_next_id(self) -> int:
-        value = self._counter
-        self._counter += 1
-        return value
+        # A plain counter: a bound method of this object would make the
+        # object, and so its arena, part of a reference cycle.
+        self._next_id = next_id or itertools.count(1).__next__
 
     # -- allocation -------------------------------------------------------
 
@@ -225,7 +222,7 @@ class DeviceMemory:
             size=need,
             dtype=dtype,
             label=label or f"alloc{alloc_id}",
-            memory=self,
+            data=self._arena[offset : offset + need],
             device=self.device_index,
         )
         self._live[alloc.address] = alloc

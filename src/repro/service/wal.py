@@ -63,7 +63,7 @@ def load_wal(path: str) -> Tuple[List[Dict], bool, int]:
         if line.strip():
             try:
                 entry = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 # A corrupt line can only be the tear point; everything
                 # after it is unreachable garbage.
                 torn = True

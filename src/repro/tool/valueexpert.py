@@ -39,10 +39,16 @@ from repro.analysis.sharding import (
     ShardResult,
     merge_shard_results,
     plan_shards,
+    replay_range,
     run_shards_parallel,
 )
 from repro.collector.collector import DataCollector
-from repro.errors import AnalysisError, DegradedProfileWarning, WorkloadError
+from repro.errors import (
+    AnalysisError,
+    DegradedProfileWarning,
+    TraceError,
+    WorkloadError,
+)
 from repro.gpu.runtime import GpuRuntime
 from repro.gpu.timing import Platform, RTX_2080_TI
 from repro.resilience import FaultInjector, FaultKind, HealthReport
@@ -75,14 +81,14 @@ class ValueExpert:
         # The three ``last_*`` fields describe the most recent completed
         # profile call together; each call replaces all of them.
         #: Collector of the most recent run (counters, registry); None
-        #: after a sharded replay.
+        #: after a replay that fanned out to worker processes.
         self.last_collector: Optional[DataCollector] = None
         #: Runtime of the most recent run (modelled times); None after
         #: a replay.
         self.last_runtime: Optional[GpuRuntime] = None
-        #: Per-shard results of the most recent run if it was a sharded
-        #: replay (timings, event ranges) — the scaling benchmark reads
-        #: these.
+        #: Per-shard results of the most recent run if it was a replay
+        #: that fanned out (timings, event ranges) — the scaling
+        #: benchmark reads these.
         self.last_shard_results: Optional[List[ShardResult]] = None
 
     def _observed(self):
@@ -218,27 +224,29 @@ class ValueExpert:
         filters) applies to the replay exactly as it would to a live
         run — narrowing the recording, never widening it.
 
-        ``shards > 1`` partitions the event stream into that many
-        contiguous ranges and analyzes them in parallel worker
-        processes, merging the per-shard flow graphs and hits into one
-        profile whose pattern hits and graph are identical to the
-        serial replay's (counters are per-shard sums and may differ
-        from a serial run's).  Sharding is refused
+        ``events=(start, stop)`` analyzes only that event range
+        (``stop=None`` means the end of the recording; the default is
+        the whole recording).  The range is exact: events before
+        ``start`` replay passively to rebuild the state the full run
+        had at ``start``, so the range's hits are the full replay's
+        hits for its events.
+
+        ``shards > 1`` partitions the range into that many contiguous
+        ranges and analyzes them in parallel worker processes, merging
+        the per-range flow graphs and hits into one profile whose
+        pattern hits and graph are identical to the single range's
+        (counters are per-range sums and may differ from a single
+        range's).  Sharding is refused
         (:class:`~repro.errors.AnalysisError`) for configurations whose
         analysis is inherently sequential-stateful: a memory budget
-        (the degradation ladder) or a replay-scoped fault plan.
-
-        ``events=(start, stop)`` restricts *analysis* to that event
-        range: earlier events only reconstruct device state, later ones
-        are skipped (serial replay only; ``stop=None`` means
-        end-of-trace).
+        (the degradation ladder) or a replay-scoped fault plan.  A range
+        too small to split, or (resilient runs only) a failed fan-out,
+        runs in this process instead.
         """
+        start, stop = events or (0, None)
+        if start < 0 or (stop is not None and stop < start):
+            raise TraceError(f"invalid replay event range [{start}, {stop})")
         if shards > 1:
-            if events is not None:
-                raise AnalysisError(
-                    "events ranges and sharding are mutually exclusive; "
-                    "pass shards=1 for a partial replay"
-                )
             self._check_shardable()
         with self._observed():
             health = HealthReport() if self.config.resilience_active else None
@@ -248,41 +256,35 @@ class ValueExpert:
                 if plan is not None and plan.applies_to_replay
                 else None
             )
-            collector = profile = results = None
+            collector = None
             with TraceReplayer(
                 trace_path,
                 salvage=health is not None,
                 health=health,
                 fault_injector=injector,
             ) as replayer:
-                workload_name = name or replayer.header.get("workload", "")
-                platform_name = replayer.header.get("platform", "")
-                if shards > 1:
-                    profile, results = self._replay_sharded(
-                        replayer, shards, health
+                merged = (
+                    self._replay_sharded(replayer, start, stop, shards, health)
+                    if shards > 1
+                    else None
+                )
+                if merged is None:
+                    result, collector = replay_range(
+                        replayer, self.config, 0, start, stop, health
                     )
-                if profile is None:
-                    start, stop = events or (0, None)
-                    profile, collector, _ = analyze(
-                        self.config,
-                        replayer,
-                        lambda _: replayer.replay(start=start, stop=stop),
-                        workload=workload_name,
-                        platform=platform_name,
-                        health=health,
-                    )
-                else:
-                    profile.workload_name = workload_name
-                    profile.platform_name = platform_name
-                    # Workers resolved their own untyped groups; the parent
-                    # only annotates, using the footer's kernel table for
-                    # line maps (a superset of any run's launched roster).
-                    finish_offline(
-                        self.config,
-                        profile,
-                        kernels=replayer.kernels.values(),
-                        health=health,
-                    )
+                    merged = merge_shard_results([result]), None
+                profile, results = merged
+                profile.workload_name = name or replayer.header.get("workload", "")
+                profile.platform_name = replayer.header.get("platform", "")
+                # Each range resolved its own untyped groups; annotation
+                # uses the footer's kernel table for line maps (a
+                # superset of any run's launched roster).
+                finish_offline(
+                    self.config,
+                    profile,
+                    kernels=replayer.kernels.values(),
+                    health=health,
+                )
             self._finish_health(profile, health, injector)
         self.last_collector, self.last_runtime, self.last_shard_results = (
             collector, None, results
@@ -310,26 +312,34 @@ class ValueExpert:
     def _replay_sharded(
         self,
         replayer: TraceReplayer,
+        start: int,
+        stop: Optional[int],
         shards: int,
         health: Optional[HealthReport],
-    ) -> Tuple[Optional[ValueProfile], Optional[List[ShardResult]]]:
-        """Analyze the recording in worker processes and merge them.
+    ) -> Optional[Tuple[ValueProfile, List[ShardResult]]]:
+        """Analyze ``[start, stop)`` in worker processes and merge them.
 
-        Returns ``(None, None)`` when the recording should be replayed
-        serially instead: it is too small to split, or (resilient runs
-        only) the fan-out failed.
+        Returns None when the range should run in this process instead:
+        it is too small to split, or (resilient runs only) the fan-out
+        failed.
         """
         # Weigh frames by decoded size: v2 zlib/delta encoding makes
-        # on-disk bytes a poor proxy for replay cost.
-        ranges = plan_shards(
-            [nbytes for _, _, nbytes in replayer.frame_index(decoded=True)],
-            shards,
-            prefix_cost=PREFIX_COST_RATIO,
-        )
+        # on-disk bytes a poor proxy for replay cost.  Every range pays
+        # for the same [0, start) prefix, which leaves the split as the
+        # planner's cost model would make it.
+        weights = [nbytes for _, _, nbytes in replayer.frame_index(decoded=True)]
+        ranges = [
+            (start + a, start + b)
+            for a, b in plan_shards(
+                weights[start:stop], shards, prefix_cost=PREFIX_COST_RATIO
+            )
+        ]
         if len(ranges) <= 1:
-            # Empty or single-shard-sized trace: the serial path is the
-            # sharded path, without the process fan-out.
-            return None, None
+            return None
+        # The last range runs to the caller's stop, not to the end of
+        # the frame index: the index ends at the first damaged frame,
+        # and the worker must read that frame to report the damage.
+        ranges[-1] = (ranges[-1][0], stop)
         span = (
             telemetry.tracer().begin(
                 "tool.replay_sharded", shards=len(ranges)
@@ -348,9 +358,9 @@ class ValueExpert:
                 raise
             health.note(
                 f"sharded replay failed ({type(exc).__name__}: {exc}); "
-                f"falling back to serial replay"
+                f"falling back to an in-process replay"
             )
-            return None, None
+            return None
         merge_started = time.perf_counter()
         profile = merge_shard_results(results)
         merge_elapsed = time.perf_counter() - merge_started

@@ -110,7 +110,9 @@ def _load_json(raw: bytes, what: str, last_good_offset: int) -> dict:
     """Parse one JSON object block; damage is a :class:`TraceError`."""
     try:
         obj = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    # JSONDecodeError, UnicodeDecodeError, and nesting deeper than the
+    # parser's recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise TraceError(
             f"corrupt {what}: {exc}", last_good_offset=last_good_offset
         ) from None
@@ -608,7 +610,7 @@ class TraceReader:
                 break
             try:
                 json.loads(meta_raw)
-            except ValueError:
+            except (ValueError, RecursionError):
                 break
             self._file.seek(end)
             nevents += 1

@@ -11,7 +11,7 @@ point: one recording, N analyses.
 Device state is reconstructed exactly, without executing any kernel:
 
 - allocations are re-created at their recorded ids/addresses over
-  private zero-filled arenas (matching the zero-filled live arena);
+  private zero-filled bytes (matching the zero-filled live arena);
 - memcpy/memset effects are re-applied from recorded host data and the
   replayed device state, by the runtime's own
   :func:`~repro.gpu.runtime.apply_memcpy` and
@@ -51,7 +51,6 @@ from repro.gpu.runtime import (
     MemcpyEvent,
     MemcpyKind,
     MemsetEvent,
-    RuntimeListener,
     apply_memcpy,
     apply_memset,
 )
@@ -282,27 +281,12 @@ def _check_frame(kind: int, meta: dict, arrays: dict) -> None:
         _require_alloc(meta["alloc"], "alloc")
 
 
-class _ReplayArena:
-    """Private byte store backing one replayed allocation.
-
-    Exposes the two attributes :class:`~repro.gpu.memory.Allocation`
-    expects of its memory (``base``, ``_arena``) with ``base`` equal to
-    the allocation's own address, so the allocation's typed views start
-    at offset 0 of a dedicated zero-filled buffer — matching the
-    zero-fill the live allocator performs.
-    """
-
-    def __init__(self, address: int, size: int):
-        self.base = address
-        self._arena = np.zeros(size, dtype=np.uint8)
-
-
 def _make_allocation(desc: dict, where: str) -> Allocation:
     """Materialize a replayed allocation from its wire descriptor (the
     frame's ``where``); a size the host cannot allocate is
     :class:`_Malformed`."""
     try:
-        memory = _ReplayArena(desc["address"], desc["size"])
+        data = np.zeros(desc["size"], dtype=np.uint8)
     except (MemoryError, ValueError) as exc:
         raise _Malformed(
             f"has key {_path(where, 'size')!r} = {desc['size']}; cannot "
@@ -314,7 +298,7 @@ def _make_allocation(desc: dict, where: str) -> Allocation:
         size=desc["size"],
         dtype=dtype_from_name(desc["dtype"]),
         label=desc["label"],
-        memory=memory,
+        data=data,
         freed=bool(desc.get("freed", False)),
         # .get(): v1/v2 traces predate multi-device and are all device 0.
         device=int(desc.get("device", 0)),
@@ -375,72 +359,48 @@ class TraceReplayer(EventBus):
         #: because the shared-memory arena numbers its ids independently
         #: of the global arena, so ids alone can collide.
         self._allocs: Dict[Tuple[int, int], Allocation] = {}
+        #: The recording's frames, opened by the first :meth:`replay`.
+        self._frames = None
+        #: Events played so far: the index of the next one.
         self.events_replayed = 0
 
     # -- replay -------------------------------------------------------------
-
-    def events(self):
-        """Decoded ``(kind, meta, arrays)`` frames, in recorded order.
-
-        No replay state is touched; pair with :meth:`apply_event` to
-        drive the replay loop externally (sharded analysis does).
-        """
-        return self._reader.events()
 
     def frame_index(self, decoded: bool = False) -> List[Tuple[int, int, int]]:
         """The recording's frame index (:meth:`TraceReader.frame_index`)."""
         return self._reader.frame_index(decoded=decoded)
 
-    def apply_event(self, kind: int, meta: dict, arrays: dict) -> None:
-        """Apply one decoded frame: update state, emit to listeners.
+    def replay(self, stop: Optional[int] = None) -> int:
+        """Play the recording's next events, up to event ``stop`` or the
+        end; returns how many were played.
 
-        Frames are numbered by how many this replayer has applied, so
-        an error names the right event when the frames come in order
-        from the first.
+        The replayer is a cursor over the recording: a second call
+        continues where the first one stopped, and
+        :attr:`events_replayed` is the index of the next event.
         """
-        self._replay_one(self.events_replayed, kind, meta, arrays)
-        self.events_replayed += 1
-
-    def replay(self, start: int = 0, stop: Optional[int] = None) -> int:
-        """Play recorded events in order; returns the applied count.
-
-        ``start``/``stop`` bound the *observed* event range: events
-        before ``start`` are applied with listeners muted (device state
-        is reconstructed, nothing is instrumented or analyzed — fast),
-        events in ``[start, stop)`` replay normally, and events from
-        ``stop`` on are skipped entirely.  The default replays
-        everything.
-        """
-        if start < 0 or (stop is not None and stop < start):
-            raise TraceError(
-                f"invalid replay event range [{start}, {stop})"
-            )
         span = (
             telemetry.tracer().begin("trace.replay", path=self.path)
             if telemetry.ENABLED
             else None
         )
         started = time.perf_counter()
-        count = 0
-        muted: Optional[List[RuntimeListener]] = None
-        if start > 0:
-            muted = self.listeners
-            self.listeners = []
+        if self._frames is None:
+            self._frames = self._reader.events()
+        first = self.events_replayed
         try:
-            for index, (kind, meta, arrays) in enumerate(self._reader.events()):
-                if stop is not None and index >= stop:
+            while stop is None or self.events_replayed < stop:
+                frame = next(self._frames, None)
+                if frame is None:
                     break
-                if muted is not None and index == start:
-                    self.listeners = muted
-                    muted = None
-                self._replay_one(index, kind, meta, arrays)
-                count += 1
+                self._replay_one(self.events_replayed, *frame)
+                self.events_replayed += 1
         finally:
-            if muted is not None:
-                self.listeners = muted
-        self.events_replayed += count
+            # A frame that cannot be replayed must not leave the span
+            # open: a resilient caller goes on to close its own spans.
+            if span is not None:
+                span.end()
+        count = self.events_replayed - first
         if span is not None:
-            span.end()
             elapsed = time.perf_counter() - started
             telemetry.counter(
                 "repro_trace_replay_events_total",

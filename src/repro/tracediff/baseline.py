@@ -68,12 +68,19 @@ class Baseline:
 def load_baseline(path: str) -> Baseline:
     """Read a baseline file; :class:`ReproError` on damage or skew."""
     try:
-        with open(path) as handle:
+        with open(path, "rb") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ReproError(f"cannot read baseline {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, UnicodeDecodeError, and nesting deeper than the
+    # parser's recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise ReproError(f"baseline {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ReproError(
+            f"baseline {path!r} is malformed: expected a JSON object, got "
+            f"{type(data).__name__}"
+        )
     version = data.get("version")
     if version != BASELINE_VERSION:
         raise ReproError(

@@ -1,5 +1,8 @@
 """Tests for the device memory allocator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -139,3 +142,26 @@ def test_bytes_in_use_tracking(memory):
     assert memory.bytes_in_use == alloc.size
     memory.free(alloc)
     assert memory.bytes_in_use == 0
+
+
+@pytest.mark.parametrize("name", ["lammps", "pytorch/resnet50_dp"])
+def test_dropped_runtime_frees_its_arenas_without_the_cyclic_collector(name):
+    """No reference cycle reaches a device's arena (an allocation holds
+    its bytes, not its allocator; id counters are plain counters), so
+    dropping a profiled runtime frees every arena at once."""
+    from repro import ToolConfig, ValueExpert
+    from repro.gpu import GpuRuntime
+    from repro.workloads import get_workload
+
+    gc.collect()
+    gc.disable()
+    try:
+        runtime = GpuRuntime()
+        ValueExpert(ToolConfig()).profile(
+            get_workload(name)(scale=0.25, seed=0), runtime=runtime
+        )
+        arenas = [weakref.ref(device.memory._arena) for device in runtime.context.devices]
+        del runtime
+        assert [arena() for arena in arenas] == [None] * len(arenas)
+    finally:
+        gc.enable()

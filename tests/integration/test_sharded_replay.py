@@ -1,20 +1,25 @@
-"""Sharded replay equivalence: N workers produce the serial profile.
+"""Range and sharded replay equivalence.
 
 The contract (``docs/trace.md``): for any shard count, the merged
 profile's pattern hits, flow graph, and object table are byte-identical
 to a serial replay's.  Counters are per-shard active-range sums and are
 exempt (the passive warm-up replays prefix events without analysis, so
-e.g. snapshot-copy counts attribute differently).
+e.g. snapshot-copy counts attribute differently).  An event range is
+exact too: its hits are the serial replay's hits for its events, and
+sharding a range leaves its profile as it is.
 """
 
+import collections
 import json
 
 import pytest
 
 from repro.analysis.sharding import plan_shards
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TraceError
+from repro.flowgraph.graph import HOST_VERTEX_ID
 from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
+from repro.trace_io import TraceReplayer
 from repro.workloads import get_workload
 
 WORKLOADS = ["rodinia/bfs", "rodinia/backprop", "darknet"]
@@ -87,14 +92,6 @@ def test_sharding_refuses_replay_fault_plans(tmp_path):
         tool.profile_from_trace(path, shards=2)
 
 
-def test_events_range_and_shards_are_mutually_exclusive(tmp_path):
-    path = _record(tmp_path, "rodinia/bfs")
-    with pytest.raises(AnalysisError, match="mutually exclusive"):
-        ValueExpert(ToolConfig()).profile_from_trace(
-            path, shards=2, events=(0, 10)
-        )
-
-
 def test_partial_replay_analyzes_only_the_range(tmp_path):
     path = _record(tmp_path, "rodinia/bfs")
     full = ValueExpert(ToolConfig()).profile_from_trace(path)
@@ -110,12 +107,83 @@ def test_partial_replay_analyzes_only_the_range(tmp_path):
 
 def test_partial_replay_tail_sees_prefix_state(tmp_path):
     """Analyzing a tail range still resolves objects and flow sources
-    allocated in the (passively applied) prefix."""
+    allocated in the (passively replayed) prefix."""
     path = _record(tmp_path, "rodinia/bfs")
     tail = ValueExpert(ToolConfig()).profile_from_trace(path, events=(12, None))
     assert tail.graph.num_edges > 0
-    # Prefix-allocated objects are adopted, not re-reported.
     assert all(obj.alloc_id is not None for obj in tail.objects)
+
+
+@pytest.fixture(scope="module")
+def small_bfs(tmp_path_factory):
+    """A bfs recording at scale 0.1 and its event count."""
+    path = str(tmp_path_factory.mktemp("ranges") / "bfs.vetrace")
+    workload = get_workload("rodinia/bfs")(scale=0.1, seed=0)
+    ValueExpert(ToolConfig()).profile(workload, record_path=path)
+    with TraceReplayer(path) as replayer:
+        return path, len(replayer.frame_index())
+
+
+def _occurrences(profile):
+    """Hit occurrences keyed by pattern, object label and the identity
+    of the hit's API vertex: vertex ids differ between profiles whose
+    graphs differ, identities do not."""
+    counts = collections.Counter()
+    for hit in profile.hits:
+        vertex = profile.graph.vertex(int(hit.api_ref[1:].partition(":")[0]))
+        key = (hit.pattern, hit.object_label, vertex.kind, vertex.name,
+               vertex.call_path, vertex.device)
+        counts[key] += hit.metrics.get("occurrences", 1)
+    return counts
+
+
+def test_event_ranges_split_the_serial_hits_exactly(small_bfs):
+    """At every split point A, the hits of [0, A) and [A, end) add up to
+    the serial replay's."""
+    path, count = small_bfs
+    serial = _occurrences(ValueExpert(ToolConfig()).profile_from_trace(path))
+    assert serial
+    for split in range(count + 1):
+        head = ValueExpert(ToolConfig()).profile_from_trace(path, events=(0, split))
+        tail = ValueExpert(ToolConfig()).profile_from_trace(
+            path, events=(split, None)
+        )
+        assert _occurrences(head) + _occurrences(tail) == serial, split
+
+
+@pytest.mark.parametrize("start", [1, 12, -3])
+def test_sharded_event_range_matches_the_single_range(small_bfs, start):
+    path, count = small_bfs
+    start %= count
+    single = _sections(
+        ValueExpert(ToolConfig()).profile_from_trace(path, events=(start, None))
+    )
+    tool = ValueExpert(ToolConfig())
+    sharded = _sections(
+        tool.profile_from_trace(path, shards=2, events=(start, None))
+    )
+    results = tool.last_shard_results
+    assert [(r.start, r.stop) for r in results] == [
+        (start, results[1].start), (results[1].start, count)
+    ]
+    for section in _EXACT_SECTIONS:
+        assert sharded[section] == single[section], section
+
+
+def test_event_range_past_the_end_analyzes_nothing(small_bfs):
+    path, count = small_bfs
+    for shards in (1, 2):
+        profile = ValueExpert(ToolConfig()).profile_from_trace(
+            path, shards=shards, events=(count + 5, None)
+        )
+        assert profile.hits == []
+        assert [v.vid for v in profile.graph.vertices()] == [HOST_VERTEX_ID]
+
+
+@pytest.mark.parametrize("events", [(5, 2), (-1, None)])
+def test_invalid_event_range_is_a_trace_error(small_bfs, events):
+    with pytest.raises(TraceError, match="invalid replay event range"):
+        ValueExpert(ToolConfig()).profile_from_trace(small_bfs[0], events=events)
 
 
 def test_plan_shards_balances_by_weight():

@@ -62,11 +62,16 @@ def test_torn_tail_salvages_complete_prefix(tmp_path):
     assert good < wal.size_bytes + 31
 
 
-def test_undecodable_line_is_the_tear_point(tmp_path):
+@pytest.mark.parametrize(
+    "line",
+    [b"%% not json %%", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-json", "deep-nesting"],
+)
+def test_undecodable_line_is_the_tear_point(tmp_path, line):
     path = _wal(tmp_path)
     with open(path, "wb") as handle:
         handle.write(b'{"op": "submit", "id": "a"}\n')
-        handle.write(b"%% not json %%\n")
+        handle.write(line + b"\n")
         handle.write(b'{"op": "state", "id": "a", "to": "done"}\n')
     entries, torn, _ = load_wal(path)
     # Everything after the corrupt line is unreachable garbage.

@@ -1,7 +1,8 @@
 """Damaged frames of a recorded trace fail only as a ``TraceError``.
 
 Each case rewrites one frame of a small recorded bfs trace: a meta block
-that is not JSON, not UTF-8 or not a JSON object, a payload length
+that is not JSON, not UTF-8, not a JSON object or nested deeper than the
+JSON parser's recursion limit, a payload length
 inflated far past the file, a zlib payload that inflates past its
 recorded raw length, a codec without a usable raw length (missing,
 infinite, too large to bound the inflater), and an array descriptor
@@ -32,6 +33,7 @@ from repro import ToolConfig, ValueExpert
 from repro.cli import main
 from repro.errors import DegradedProfileWarning, TraceError
 from repro.gpu.runtime import RuntimeListener
+from repro.obs import MetricsRegistry, SpanTracer
 from repro.trace_io import TraceReplayer
 from repro.trace_io.format import (
     EVENT_LAUNCH,
@@ -139,6 +141,10 @@ def _meta_not_an_object(meta, payload):
     return b"[1, 2, 3]", payload, len(payload)
 
 
+def _deep_nesting(meta, payload):
+    return b"[" * 200_000 + b"]" * 200_000, payload, len(payload)
+
+
 def _infinite_n(meta, payload):
     return _recode(meta, payload, {"c": "zlib", "n": float("inf")})
 
@@ -163,6 +169,7 @@ def _descriptor(field, value):
 #: Well-formed JSON carrying values the reader cannot use.
 MALFORMED = [
     _meta_not_an_object,
+    _deep_nesting,
     _infinite_n,
     _huge_n,
     _descriptor("offset", float("inf")),
@@ -233,11 +240,12 @@ def test_strict_reader_raises_trace_error_at_the_damaged_frame(
     assert err.value.last_good_offset == damaged_offset
 
 
+@pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("edit", DAMAGE, ids=lambda edit: edit.__name__[1:])
-def test_strict_replay_raises_trace_error(recorded, tmp_path, edit):
+def test_strict_replay_raises_trace_error(recorded, tmp_path, edit, shards):
     path, _ = _rewrite(recorded, tmp_path, edit)
     with pytest.raises(TraceError):
-        ValueExpert(ToolConfig()).profile_from_trace(path)
+        ValueExpert(ToolConfig()).profile_from_trace(path, shards=shards)
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -250,6 +258,24 @@ def test_resilient_replay_reports_the_damage(recorded, tmp_path, edit, shards):
         )
     assert profile.health.workload_aborted
     assert profile.health.abort_reason.startswith("TraceError")
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_aborted_resilient_replay_closes_its_spans(recorded, tmp_path, shards):
+    """A replay aborted by a damaged frame still closes ``trace.replay``,
+    so the enclosing ``tool.replay`` span closes in order."""
+    path, _ = _rewrite(recorded, tmp_path, _bad_json)
+    tracer = SpanTracer()
+    tool = ValueExpert(
+        ToolConfig(resilient=True, observability=True),
+        registry=MetricsRegistry(),
+        tracer=tracer,
+    )
+    with pytest.warns(DegradedProfileWarning):
+        profile = tool.profile_from_trace(path, shards=shards)
+    assert profile.health.workload_aborted
+    assert tracer.by_name("trace.replay")
+    assert tracer.open_spans == 0
 
 
 def test_zlib_bomb_is_refused_without_inflating_it(recorded, tmp_path):
@@ -314,7 +340,7 @@ def test_decoded_frame_index_survives_malformed_metas(recorded, tmp_path, edit):
         on_disk = reader.frame_index()
         decoded = reader.frame_index(decoded=True)
     assert [entry[:2] for entry in decoded] == [entry[:2] for entry in on_disk]
-    if edit in (_meta_not_an_object, _infinite_n, _huge_n):
+    if edit in (_meta_not_an_object, _deep_nesting, _infinite_n, _huge_n):
         damaged = [entry[0] for entry in on_disk].index(damaged_offset)
         assert decoded[damaged] == on_disk[damaged]
 

@@ -54,9 +54,14 @@ def test_missing_file_raises(tmp_path):
         load_baseline(str(tmp_path / "nope.json"))
 
 
-def test_invalid_json_raises(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b'{"version": 1, "note": "\xff"}', b"[" * 200_000],
+    ids=["not-json", "bad-utf8", "deep-nesting"],
+)
+def test_invalid_json_raises(tmp_path, content):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     with pytest.raises(ReproError, match="not valid JSON"):
         load_baseline(str(path))
 
@@ -68,9 +73,14 @@ def test_version_skew_raises(tmp_path):
         load_baseline(str(path))
 
 
-def test_malformed_accepted_raises(tmp_path):
+@pytest.mark.parametrize(
+    "document",
+    [{"version": 1, "accepted": [1, 2]}, [1, 2], 5],
+    ids=["int-keys", "list", "number"],
+)
+def test_malformed_accepted_raises(tmp_path, document):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps({"version": 1, "accepted": [1, 2]}))
+    path.write_text(json.dumps(document))
     with pytest.raises(ReproError, match="malformed"):
         load_baseline(str(path))
 
