@@ -312,14 +312,18 @@ def replay_range(
     start: int,
     stop: Optional[int],
     health=None,
+    workload: str = "",
 ) -> Tuple[ShardResult, DataCollector]:
     """Analyze events ``[start, stop)`` of a fresh replayer exactly.
 
-    ``[0, start)`` replays passively first (see the module docstring).
+    ``[0, start)`` replays passively first (see the module docstring);
+    a range that starts past the end of the recording analyzes nothing.
     ``stop=None`` runs to the end of the recording; the result's
     ``stop`` is the event the range actually stopped at.  With a
     ``health`` report a replay error aborts into the report instead of
-    raising.  Returns the result and the collector that observed it.
+    raising.  ``workload`` labels the profile and its spans (default:
+    the recording's workload).  Returns the result and the collector
+    that observed it.
     """
     began = time.perf_counter()
     online = ShardOnlineAnalyzer(config.patterns, active=(start == 0))
@@ -328,17 +332,38 @@ def replay_range(
 
     def drive(collector: DataCollector) -> None:
         nonlocal watermark, active_began
+        replay_began = time.perf_counter()
         if start > 0:
             collector.analysis_active = False
             replayer.replay(stop=start)
-            online.activate()
-            collector.analysis_active = True
             watermark = CollectionCounters(**vars(collector.counters))
             active_began = time.perf_counter()
+            if replayer.events_replayed == start:
+                online.activate()
+                collector.analysis_active = True
         replayer.replay(stop=stop)
+        if telemetry.ENABLED:
+            elapsed = time.perf_counter() - replay_began
+            telemetry.histogram(
+                "repro_trace_replay_seconds",
+                "Wall time of range replays, passive prefix included.",
+            ).observe(elapsed)
+            if elapsed > 0:
+                telemetry.gauge(
+                    "repro_trace_replay_events_per_second",
+                    "Throughput of the most recent range replay, passive "
+                    "prefix included.",
+                ).set(replayer.events_replayed / elapsed)
 
     profile, collector, offline_hits = analyze(
-        config, replayer, drive, health=health, online=online, annotate=False
+        config,
+        replayer,
+        drive,
+        workload=workload or replayer.header.get("workload", ""),
+        platform=replayer.header.get("platform", ""),
+        health=health,
+        online=online,
+        annotate=False,
     )
     finished = time.perf_counter()
     delta = CollectionCounters(

@@ -270,7 +270,7 @@ class ValueExpert:
                 )
                 if merged is None:
                     result, collector = replay_range(
-                        replayer, self.config, 0, start, stop, health
+                        replayer, self.config, 0, start, stop, health, name
                     )
                     merged = merge_shard_results([result]), None
                 profile, results = merged

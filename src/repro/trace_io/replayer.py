@@ -31,7 +31,6 @@ a launch recorded without records replays without records.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -383,7 +382,6 @@ class TraceReplayer(EventBus):
             if telemetry.ENABLED
             else None
         )
-        started = time.perf_counter()
         if self._frames is None:
             self._frames = self._reader.events()
         first = self.events_replayed
@@ -401,20 +399,10 @@ class TraceReplayer(EventBus):
                 span.end()
         count = self.events_replayed - first
         if span is not None:
-            elapsed = time.perf_counter() - started
             telemetry.counter(
                 "repro_trace_replay_events_total",
                 "Recorded events re-emitted through the replay bus.",
             ).inc(count)
-            telemetry.histogram(
-                "repro_trace_replay_seconds",
-                "Wall time of full trace replays.",
-            ).observe(elapsed)
-            if elapsed > 0:
-                telemetry.gauge(
-                    "repro_trace_replay_events_per_second",
-                    "Throughput of the most recent trace replay.",
-                ).set(count / elapsed)
         return count
 
     def close(self) -> None:

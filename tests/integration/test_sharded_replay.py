@@ -114,14 +114,19 @@ def test_partial_replay_tail_sees_prefix_state(tmp_path):
     assert all(obj.alloc_id is not None for obj in tail.objects)
 
 
-@pytest.fixture(scope="module")
-def small_bfs(tmp_path_factory):
-    """A bfs recording at scale 0.1 and its event count."""
-    path = str(tmp_path_factory.mktemp("ranges") / "bfs.vetrace")
-    workload = get_workload("rodinia/bfs")(scale=0.1, seed=0)
+def _small_recording(directory, name):
+    """A recording of ``name`` at scale 0.1 and its event count."""
+    path = str(directory / (name.replace("/", "_") + ".vetrace"))
+    workload = get_workload(name)(scale=0.1, seed=0)
     ValueExpert(ToolConfig()).profile(workload, record_path=path)
     with TraceReplayer(path) as replayer:
         return path, len(replayer.frame_index())
+
+
+@pytest.fixture(scope="module")
+def small_bfs(tmp_path_factory):
+    """A bfs recording at scale 0.1 and its event count."""
+    return _small_recording(tmp_path_factory.mktemp("ranges"), "rodinia/bfs")
 
 
 def _occurrences(profile):
@@ -170,14 +175,18 @@ def test_sharded_event_range_matches_the_single_range(small_bfs, start):
         assert sharded[section] == single[section], section
 
 
-def test_event_range_past_the_end_analyzes_nothing(small_bfs):
-    path, count = small_bfs
+@pytest.mark.parametrize("name", ["rodinia/bfs", "darknet"])
+def test_event_range_past_the_end_analyzes_nothing(tmp_path, name):
+    """bfs frees every allocation before it ends; darknet frees none, so
+    its objects are still live where the range would start."""
+    path, count = _small_recording(tmp_path, name)
     for shards in (1, 2):
         profile = ValueExpert(ToolConfig()).profile_from_trace(
             path, shards=shards, events=(count + 5, None)
         )
         assert profile.hits == []
         assert [v.vid for v in profile.graph.vertices()] == [HOST_VERTEX_ID]
+        assert not any(vars(profile.counters).values())
 
 
 @pytest.mark.parametrize("events", [(5, 2), (-1, None)])

@@ -97,3 +97,28 @@ def test_every_profile_path_records_a_tool_offline_span(tmp_path, path):
     assert tracer.by_name("tool.offline")
     assert tracer.by_name("offline.annotate")
     assert tracer.open_spans == 0
+
+
+@pytest.mark.parametrize("name", ["", "renamed"])
+@pytest.mark.parametrize("events", [None, (2, None)])
+def test_range_replay_labels_its_spans_and_is_one_replay(tmp_path, events, name):
+    """A replayed range labels its spans with the workload, and its
+    passive prefix and range count as one replay of the recording."""
+    trace = str(tmp_path / "obs.vetrace")
+    ValueExpert(ToolConfig()).profile(
+        _workload, name="obs-integration", record_path=trace
+    )
+    registry, tracer = MetricsRegistry(), SpanTracer()
+    tool = ValueExpert(
+        ToolConfig(observability=True), registry=registry, tracer=tracer
+    )
+    tool.profile_from_trace(trace, name=name, events=events)
+    spans = tracer.by_name("tool.replay") + tracer.by_name("tool.offline")
+    assert len(spans) == 3
+    assert {span.attrs["workload"] for span in spans} == {
+        name or "obs-integration"
+    }
+    assert len(tracer.by_name("trace.replay")) == (1 if events is None else 2)
+    assert registry.histogram("repro_trace_replay_seconds").count == 1
+    assert registry.counter("repro_trace_replay_events_total").value == 4
+    assert registry.gauge("repro_trace_replay_events_per_second").value > 0
