@@ -210,7 +210,7 @@ class OnlineAnalyzer:
         )
         fractions = [
             unchanged_fraction(
-                SnapshotPair(write.before, write.after, write.written_indices)
+                SnapshotPair(write.before, write.after, write.written_runs)
             )
             for write in writes
         ]

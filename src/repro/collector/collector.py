@@ -12,13 +12,14 @@ Per kernel launch, the measurement pipeline follows Section 6.1, as a
 1. access records are deposited into the bounded profiling buffer
    (flush count feeds the overhead model);
 2. their byte intervals are tagged LOAD/STORE once, warp-compacted
-   once (kind-preserving), and merged with one start sort and three
-   running-max sweeps that yield the combined, read-only, and
-   write-only coverages together;
+   once (kind-preserving), and merged into the read, write and
+   combined coverages together: each kind's starts and ends are
+   sorted apart, and the combined coverage merges the two kinds' runs;
 3. all three coverages are routed to data objects in one batched
    binder sweep over the registry's cached address index;
 4. each written object's snapshot is refreshed through an adaptive
-   copy plan, yielding before/after pairs for the coarse analysis;
+   copy plan, yielding before/after pairs and the written element runs
+   for the coarse analysis;
 5. typed values are grouped per (object, access type) into fine views
    (record base addresses resolve through one batched lookup); untyped
    records are kept for offline access-type resolution.
@@ -57,9 +58,8 @@ from repro.intervals.parallel import merge_parallel_kinds
 from repro.utils.callpath import CallPath
 from repro.utils.hashing import same_bytes, snapshot_digest
 
-#: Shared placeholders for what the passive prefix of a sharded replay
-#: never reads: written-index sets and read coverage.
-_EMPTY_INDICES = np.empty(0, dtype=np.int64)
+#: Shared placeholder for the read coverage, which the passive prefix
+#: of a sharded replay never reads.
 _EMPTY_INTERVALS = np.empty((0, 2), dtype=np.uint64)
 
 
@@ -75,7 +75,9 @@ class ObjectWrite:
     obj: DataObject
     before: np.ndarray
     after: np.ndarray
-    written_indices: np.ndarray
+    #: Element runs ``[lo, hi)`` the API wrote: an ``(n, 2)`` int64
+    #: array in write order, whose runs may share an element.
+    written_runs: np.ndarray
     nbytes: int
     #: incremental value digest of ``after`` from the snapshot store;
     #: saves the pattern engine rehashing unchanged regions.
@@ -338,7 +340,7 @@ class DataCollector(RuntimeListener):
             obj=obj,
             before=empty,
             after=empty,
-            written_indices=np.empty(0, dtype=np.int64),
+            written_runs=np.empty((0, 2), dtype=np.int64),
             nbytes=nbytes,
         )
 
@@ -349,12 +351,13 @@ class DataCollector(RuntimeListener):
         if self._mirrors_evicted:
             return self._summary_write(obj, nbytes)
         before, after = self.snapshots.refresh_full(obj)
+        # ``apply_memcpy`` and ``apply_memset`` write whole elements.
         count = min(nbytes // obj.dtype.itemsize, obj.handle.nelems)
         return ObjectWrite(
             obj=obj,
             before=before,
             after=after,
-            written_indices=np.arange(count, dtype=np.int64),
+            written_runs=np.array([[0, count]], dtype=np.int64),
             nbytes=nbytes,
             digest=self.snapshots.digest(obj.alloc_id),
         )
@@ -618,8 +621,9 @@ class DataCollector(RuntimeListener):
         self.counters.buffer_flushes = self.buffer.flushes
 
         # Interval pipeline, one pass: kind-tagged raw intervals ->
-        # kind-preserving warp compaction -> one start sort whose
-        # running-max sweeps merge the combined/read/write coverages.
+        # kind-preserving warp compaction -> the read and write
+        # coverages, each from its starts and ends sorted apart, and the
+        # combined coverage from their runs.
         sweep_span = (
             telemetry.tracer().begin("collector.sweep", records=len(records))
             if telemetry.ENABLED
@@ -702,17 +706,11 @@ class DataCollector(RuntimeListener):
                 route.combined, obj.address, obj.size, self.copy_policy
             )
             # A passive prefix consumes only ``after`` and the digest:
-            # the before-image copy and written-index expansion exist
-            # for pattern analysis, which the prefix does not run.
+            # the before-image copy exists for pattern analysis, which
+            # the prefix does not run.
             before, after = self.snapshots.refresh_plan(
                 obj, plan, want_before=self.analysis_active
             )
-            if self.analysis_active:
-                written_idx = self.snapshots.element_indices(
-                    obj, write_intervals
-                )
-            else:
-                written_idx = _EMPTY_INDICES
             write_bytes = int(
                 (write_intervals[:, 1] - write_intervals[:, 0]).sum()
             )
@@ -721,7 +719,9 @@ class DataCollector(RuntimeListener):
                     obj=obj,
                     before=before,
                     after=after,
-                    written_indices=written_idx,
+                    written_runs=self.snapshots.element_runs(
+                        obj, write_intervals
+                    ),
                     nbytes=write_bytes,
                     digest=self.snapshots.digest(obj.alloc_id),
                 )

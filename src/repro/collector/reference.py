@@ -144,7 +144,6 @@ class ReferenceCollector(DataCollector):
                 continue
             plan = plan_copy(intervals, obj.address, obj.size, self.copy_policy)
             before, after = self.snapshots.refresh_plan(obj, plan)
-            written_idx = self.snapshots.element_indices(obj, write_intervals)
             write_bytes = int(
                 (write_intervals[:, 1] - write_intervals[:, 0]).sum()
             )
@@ -153,7 +152,9 @@ class ReferenceCollector(DataCollector):
                     obj=obj,
                     before=before,
                     after=after,
-                    written_indices=written_idx,
+                    written_runs=self.snapshots.element_runs(
+                        obj, write_intervals
+                    ),
                     nbytes=write_bytes,
                 )
             )

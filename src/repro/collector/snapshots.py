@@ -25,7 +25,6 @@ import numpy as np
 from repro.collector.objects import DataObject
 from repro.errors import CollectionError
 from repro.intervals.copyplan import CopyPlan
-from repro.intervals.interval import run_points
 from repro.utils.hashing import (
     DIGEST_CHUNK_BYTES,
     changed_chunks,
@@ -150,7 +149,8 @@ class SnapshotStore:
         Returns ``(before, after)`` full-object snapshots; elements
         outside the planned ranges are identical in both by
         construction, so the redundancy computation (restricted to
-        written indices inside the ranges) is unaffected.
+        the written element runs, which lie inside the ranges) is
+        unaffected.
 
         With ``want_before=False`` the mirror is patched in place and
         ``before`` comes back empty: callers that only need the
@@ -193,32 +193,21 @@ class SnapshotStore:
             refresh_chunk_digests(snapshot, self._chunks[alloc_id], ranges)
             self._digests.pop(alloc_id, None)
 
-    def element_indices(
-        self, obj: DataObject, intervals: np.ndarray
-    ) -> np.ndarray:
-        """Element indices of an object covered by byte intervals.
+    def element_runs(self, obj: DataObject, intervals: np.ndarray) -> np.ndarray:
+        """Element runs ``[lo, hi)`` of an object covered by byte intervals.
 
-        Each interval gives the elements it overlaps, clipped to the
-        object, in interval order; an element that two intervals share
-        appears once for each.
+        One ``(n, 2)`` int64 row per interval, in interval order: the
+        elements it overlaps, clipped to the object, with ``lo <= hi``
+        (an interval that misses the object gives an empty run).  An
+        element that two unaligned intervals share lies in both runs.
         """
-        if intervals.size == 0:
-            return np.empty(0, dtype=np.int64)
-        itemsize = obj.dtype.itemsize
-        nelems = obj.handle.nelems
-        if intervals.shape[0] == 1:
-            # Most calls pass one interval; plain ints cost less here.
-            start, end = intervals[0].tolist()
-            lo = max(0, (start - obj.address) // itemsize)
-            hi = min(nelems, -(-(end - obj.address) // itemsize))
-            if lo >= hi:
-                return np.empty(0, dtype=np.int64)
-            return np.arange(lo, hi, dtype=np.int64)
         # Byte offsets into the object, clamped at its start, so nothing
         # wraps below it or overflows near 2**64.
         address = np.uint64(obj.address)
         offsets = np.maximum(np.asarray(intervals, np.uint64), address) - address
-        lo = np.minimum(offsets[:, 0] // itemsize, nelems).astype(np.int64)
-        ends = offsets[:, 1]
-        hi = np.minimum(ends // itemsize + (ends % itemsize != 0), nelems)
-        return run_points(lo, np.maximum(hi.astype(np.int64) - lo, 0))
+        itemsize = obj.dtype.itemsize
+        runs = offsets // itemsize
+        runs[:, 1] += offsets[:, 1] % itemsize != 0
+        runs = np.minimum(runs, obj.handle.nelems).astype(np.int64)
+        np.maximum(runs[:, 1], runs[:, 0], out=runs[:, 1])
+        return runs

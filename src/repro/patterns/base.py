@@ -92,8 +92,10 @@ class SnapshotPair:
 
     before: np.ndarray
     after: np.ndarray
-    #: Element indices written by the API (None = treat all as written).
-    written_indices: Optional[np.ndarray] = None
+    #: Element runs ``[lo, hi)`` written by the API, an ``(n, 2)`` int64
+    #: array whose runs each count every element they hold (None =
+    #: treat all as written).
+    written_runs: Optional[np.ndarray] = None
 
 
 def unsign_zero(distinct: np.ndarray) -> None:

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.gpu.dtypes import unsigned_of_width
+from repro.intervals.interval import run_points
 from repro.patterns.base import Pattern, PatternConfig, PatternHit, SnapshotPair
 from repro.utils.hashing import snapshot_digest
 
@@ -38,18 +39,21 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
         raise ValueError(
             f"snapshot dtypes differ ({before.dtype} vs {after.dtype})"
         )
-    if pair.written_indices is not None:
-        idx = np.asarray(pair.written_indices, dtype=np.int64)
-        if _is_run(idx, before.size):
-            # One ascending run of in-range indices, which is what the
-            # collector records for a whole-object memcpy or memset and
-            # for a single-interval kernel write: compare views of the
-            # run instead of gathering copies through the index array.
-            before = before[idx[0] : idx[-1] + 1]
-            after = after[idx[0] : idx[-1] + 1]
+    if pair.written_runs is not None:
+        runs = np.asarray(pair.written_runs, dtype=np.int64).reshape(-1, 2)
+        lo, hi = runs[:, 0], runs[:, 1]
+        if ((lo < 0) | (hi < lo) | (hi > before.size)).any():
+            raise ValueError(
+                f"written runs must satisfy 0 <= lo <= hi <= {before.size}"
+            )
+        if runs.shape[0] == 1:
+            # One run, which is what the collector records for a memcpy
+            # or memset and for a single-interval kernel write: compare
+            # views of it instead of gathering copies.
+            before, after = before[lo[0] : hi[0]], after[lo[0] : hi[0]]
         else:
-            before = before[idx]
-            after = after[idx]
+            points = run_points(lo, hi - lo)
+            before, after = before[points], after[points]
     if before.size == 0:
         return 0.0
     # Bitwise comparison, one unsigned word per element: NaN == NaN
@@ -58,19 +62,6 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
     word = unsigned_of_width(before.dtype.itemsize)
     same = np.ascontiguousarray(before).view(word) == np.ascontiguousarray(after).view(word)
     return float(np.count_nonzero(same)) / before.size
-
-
-def _is_run(idx: np.ndarray, size: int) -> bool:
-    """Whether ``idx`` is exactly ``arange(idx[0], idx[-1] + 1)`` and
-    lies inside ``[0, size)``."""
-    return (
-        idx.ndim == 1
-        and idx.size > 0
-        and 0 <= idx[0]
-        and idx[-1] < size
-        and idx[-1] - idx[0] + 1 == idx.size
-        and bool((idx[1:] > idx[:-1]).all())
-    )
 
 
 def detect_redundant_values(

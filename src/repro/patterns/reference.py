@@ -119,10 +119,12 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
         raise ValueError(f"snapshot dtypes differ ({before.dtype} vs {after.dtype})")
     old = [bits for bits, _ in _elements(before)]
     new = [bits for bits, _ in _elements(after)]
-    if pair.written_indices is None:
+    if pair.written_runs is None:
         written = list(range(len(old)))
     else:
-        written = [int(i) for i in np.asarray(pair.written_indices).ravel()]
+        written = []
+        for lo, hi in np.asarray(pair.written_runs).reshape(-1, 2).tolist():
+            written.extend(range(lo, hi))
     if not written:
         return 0.0
     same = sum(1 for i in written if old[i] == new[i])

@@ -69,7 +69,7 @@ def test_memcpy_h2d_observation_has_snapshots(attached):
     write = obs.writes[0]
     assert np.all(write.before[:64] == 0)
     assert np.all(write.after[:64] == 1)
-    assert write.written_indices.size == 64
+    assert write.written_runs.tolist() == [[0, 64]]
 
 
 def test_memset_observation(attached):
@@ -101,7 +101,7 @@ def test_launch_write_indices_cover_stores_only(attached, acc_kernel):
     rt.launch(acc_kernel, 1, 128, alloc, 1.0)  # touches first 128 only
     obs = analyzer.launches[-1]
     write = obs.writes[0]
-    assert write.written_indices.max() < 128
+    assert write.written_runs[:, 1].max() <= 128
 
 
 def test_counters_track_pipeline(attached, fill_kernel):

@@ -1,11 +1,12 @@
-"""``SnapshotStore.element_indices`` against the per-interval loop.
+"""``SnapshotStore.element_runs`` against the per-interval loop.
 
-The store expands byte intervals into the element indices a launch
-wrote with one ragged expansion.  The loop it replaced is kept here as
-the oracle: for each interval, the elements it overlaps, clipped to the
-object, concatenated in interval order.  They must agree exactly on
-every input: unaligned intervals that share an element (which appears
-once per interval), intervals clipped at either end of the object or
+The store turns the byte intervals a launch wrote into element runs
+``[lo, hi)``, one row per interval with ``lo <= hi``.  The oracle is
+the per-interval loop: for each interval, the elements it overlaps,
+clipped to the object, concatenated in interval order.  Expanding the
+runs with ``run_points`` must give exactly the loop's indices on every
+input: unaligned intervals that share an element (which appears once
+per interval), intervals clipped at either end of the object or
 entirely outside it, empty and reversed pairs, objects and ends near
 2**64, and the one-interval and empty calls.
 """
@@ -19,12 +20,13 @@ from hypothesis import strategies as st
 
 from repro.collector.snapshots import SnapshotStore
 from repro.gpu.dtypes import DType
+from repro.intervals.interval import run_points
 
 _DTYPES = {1: DType.UINT8, 2: DType.INT16, 4: DType.FLOAT32, 8: DType.FLOAT64}
 
 
 def _object(address, itemsize, nelems):
-    """What ``element_indices`` reads of a data object."""
+    """What ``element_runs`` reads of a data object."""
     return SimpleNamespace(
         address=address,
         dtype=_DTYPES[itemsize],
@@ -48,10 +50,13 @@ def _loop(obj, intervals):
 
 def _check(obj, intervals):
     intervals = np.array(intervals, dtype=np.uint64).reshape(-1, 2)
-    got = SnapshotStore().element_indices(obj, intervals)
-    want = _loop(obj, intervals)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    runs = SnapshotStore().element_runs(obj, intervals)
+    assert runs.dtype == np.int64
+    assert runs.shape == (intervals.shape[0], 2)
+    lo, hi = runs[:, 0], runs[:, 1]
+    assert (0 <= lo).all() and (lo <= hi).all() and (hi <= obj.handle.nelems).all()
+    got = run_points(lo, hi - lo)
+    assert np.array_equal(got, _loop(obj, intervals))
     return got.tolist()
 
 

@@ -87,7 +87,7 @@ def _assert_writes_equal(got, expected):
     assert [w.obj.label for w in got] == [w.obj.label for w in expected]
     for gw, ew in zip(got, expected):
         assert gw.nbytes == ew.nbytes
-        assert np.array_equal(gw.written_indices, ew.written_indices)
+        assert np.array_equal(gw.written_runs, ew.written_runs)
         assert gw.before.tobytes() == ew.before.tobytes()
         assert gw.after.tobytes() == ew.after.tobytes()
 

@@ -80,31 +80,31 @@ def test_traffic_accounting(setup):
     assert store.traffic.bytes_copied == initial_bytes + obj.size + 16
 
 
-def test_element_indices_from_intervals(setup):
+def test_element_runs_from_intervals(setup):
     _, store, obj, _ = setup
     intervals = np.array(
         [[obj.address, obj.address + 16],
          [obj.address + 100 * 4, obj.address + 102 * 4]],
         dtype=np.uint64,
     )
-    indices = store.element_indices(obj, intervals)
-    assert indices.tolist() == [0, 1, 2, 3, 100, 101]
+    runs = store.element_runs(obj, intervals)
+    assert runs.dtype == np.int64
+    assert runs.tolist() == [[0, 4], [100, 102]]
 
 
-def test_element_indices_partial_element_rounds_out(setup):
+def test_element_runs_partial_element_rounds_out(setup):
     """A partially covered element still needs refreshing."""
     _, store, obj, _ = setup
     intervals = np.array(
         [[obj.address + 2, obj.address + 6]], dtype=np.uint64
     )
-    indices = store.element_indices(obj, intervals)
-    assert indices.tolist() == [0, 1]
+    assert store.element_runs(obj, intervals).tolist() == [[0, 2]]
 
 
-def test_element_indices_empty(setup):
+def test_element_runs_empty(setup):
     _, store, obj, _ = setup
     empty = np.empty((0, 2), dtype=np.uint64)
-    assert store.element_indices(obj, empty).size == 0
+    assert store.element_runs(obj, empty).shape == (0, 2)
 
 
 def test_forget_stops_tracking(setup):

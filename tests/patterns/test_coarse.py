@@ -11,10 +11,10 @@ from repro.patterns.coarse import (
 )
 
 
-def _pair(before, after, written=None):
+def _pair(before, after, runs=None):
     return SnapshotPair(
         np.asarray(before), np.asarray(after),
-        None if written is None else np.asarray(written),
+        None if runs is None else np.asarray(runs, np.int64).reshape(-1, 2),
     )
 
 
@@ -33,33 +33,37 @@ def test_unchanged_fraction_partial():
     assert unchanged_fraction(_pair(before, after)) == pytest.approx(0.7)
 
 
-def test_unchanged_fraction_restricted_to_written_indices():
+def test_unchanged_fraction_restricted_to_written_runs():
     """Only written elements participate (Section 6.1)."""
     before = np.zeros(10, np.float32)
     after = before.copy()
     after[0] = 1.0
     # Written = {0}: fully changed even though 9 others are unchanged.
-    assert unchanged_fraction(_pair(before, after, [0])) == 0.0
+    assert unchanged_fraction(_pair(before, after, [[0, 1]])) == 0.0
     # Written = {5}: that element is unchanged.
-    assert unchanged_fraction(_pair(before, after, [5])) == 1.0
+    assert unchanged_fraction(_pair(before, after, [[5, 6]])) == 1.0
 
 
 def test_unchanged_fraction_index_runs_match_gathers():
-    """An ascending run of in-range written indices is compared through
-    views; any other index array, negative indices included, keeps the
-    gather semantics, and an out-of-range index still raises."""
+    """One written run is compared through views and several through a
+    gather; either way every element a run holds counts, once per run
+    that holds it.  A run that is reversed or leaves the snapshot is
+    refused."""
     before = np.arange(8, dtype=np.float32)
     after = before.copy()
     after[[1, 4, 6]] = -1.0
-    for written in (
-        [2, 3, 4, 5], list(range(8)), [6],
-        [5, 4, 3], [-3, -2, -1], [2, 2, 5, 5],
+    for runs in (
+        [[2, 6]], [[0, 8]], [[6, 7]], [[3, 3]],
+        [[0, 2], [5, 8]], [[2, 5], [3, 7]], [[4, 4], [1, 3], [8, 8]],
+        [[0, 8], [0, 8]],
     ):
-        idx = np.asarray(written)
-        expected = np.count_nonzero(before[idx] == after[idx]) / idx.size
-        assert unchanged_fraction(_pair(before, after, written)) == expected
-    with pytest.raises(IndexError):
-        unchanged_fraction(_pair(before, after, [6, 7, 8]))
+        idx = np.concatenate([np.arange(lo, hi) for lo, hi in runs])
+        same = np.count_nonzero(before[idx] == after[idx])
+        expected = same / idx.size if idx.size else 0.0
+        assert unchanged_fraction(_pair(before, after, runs)) == expected
+    for runs in ([[6, 9]], [[-1, 2]], [[5, 4]], [[0, 2], [7, 9]]):
+        with pytest.raises(ValueError):
+            unchanged_fraction(_pair(before, after, runs))
 
 
 def test_unchanged_fraction_nan_bitwise_equal():

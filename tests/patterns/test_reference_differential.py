@@ -239,6 +239,30 @@ def _assert_truncation_matches(values, keep_bits):
 
 
 @st.composite
+def written_runs(draw, n):
+    """Up to 6 runs ``[lo, hi)`` with ``0 <= lo <= hi <= n``: any run
+    (empty ones and ones at 0 or at ``n`` among them), one element, the
+    whole object, and runs adjacent to or sharing elements with the run
+    before."""
+    runs = []
+    for _ in range(draw(st.integers(0, 6))):
+        prev_lo, prev_hi = runs[-1] if runs else (0, n)
+        shape = draw(st.sampled_from(["any", "one", "whole", "adjacent", "shared"]))
+        if shape == "any":
+            lo, hi = sorted((draw(st.integers(0, n)), draw(st.integers(0, n))))
+        elif shape == "one":
+            lo = draw(st.integers(0, max(n - 1, 0)))
+            hi = min(lo + 1, n)
+        elif shape == "whole":
+            lo, hi = 0, n
+        else:
+            lo = prev_hi if shape == "adjacent" else draw(st.integers(prev_lo, prev_hi))
+            hi = draw(st.integers(lo, n))
+        runs.append((lo, hi))
+    return np.array(runs, dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
 def snapshot_pairs(draw):
     dtype = draw(st.sampled_from(DTYPES))
     n = draw(st.integers(0, 24))
@@ -249,15 +273,7 @@ def snapshot_pairs(draw):
         if n:
             after[i] = draw(st.sampled_from(specials))
     uint = unsigned_of_width(dtype.itemsize)
-    written = None
-    shape = draw(st.sampled_from(["all", "list", "run"])) if n else "all"
-    if shape == "list":
-        written = np.array(
-            draw(st.lists(st.integers(0, n - 1), max_size=n)), dtype=np.int64
-        )
-    elif shape == "run":
-        lo = draw(st.integers(0, n - 1))
-        written = np.arange(lo, draw(st.integers(lo, n)), dtype=np.int64)
+    written = draw(st.one_of(st.none(), written_runs(n)))
     return SnapshotPair(
         np.array(before, uint).view(dtype), np.array(after, uint).view(dtype), written
     )
