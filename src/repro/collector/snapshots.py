@@ -201,13 +201,15 @@ class SnapshotStore:
         (an interval that misses the object gives an empty run).  An
         element that two unaligned intervals share lies in both runs.
         """
-        # Byte offsets into the object, clamped at its start, so nothing
-        # wraps below it or overflows near 2**64.
-        address = np.uint64(obj.address)
-        offsets = np.maximum(np.asarray(intervals, np.uint64), address) - address
         itemsize = obj.dtype.itemsize
-        runs = offsets // itemsize
-        runs[:, 1] += offsets[:, 1] % itemsize != 0
-        runs = np.minimum(runs, obj.handle.nelems).astype(np.int64)
+        # Byte offsets into the object, clamped to its elements, so
+        # nothing wraps below it or overflows near 2**64.
+        address = np.uint64(obj.address)
+        offsets = np.minimum(
+            np.maximum(np.asarray(intervals, np.uint64), address) - address,
+            obj.handle.nelems * itemsize,
+        )
+        offsets[:, 1] += itemsize - 1  # an end inside an element covers it
+        runs = (offsets // itemsize).view(np.int64)
         np.maximum(runs[:, 1], runs[:, 0], out=runs[:, 1])
         return runs
