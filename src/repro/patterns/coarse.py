@@ -40,7 +40,7 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
             f"snapshot dtypes differ ({before.dtype} vs {after.dtype})"
         )
     if pair.written_runs is not None:
-        runs = np.asarray(pair.written_runs, dtype=np.int64).reshape(-1, 2)
+        runs = np.asarray(pair.written_runs, dtype=np.int64)
         lo, hi = runs[:, 0], runs[:, 1]
         if ((lo < 0) | (hi < lo) | (hi > before.size)).any():
             raise ValueError(

@@ -123,7 +123,7 @@ def unchanged_fraction(pair: SnapshotPair) -> float:
         written = list(range(len(old)))
     else:
         written = []
-        for lo, hi in np.asarray(pair.written_runs).reshape(-1, 2).tolist():
+        for lo, hi in np.asarray(pair.written_runs).tolist():
             written.extend(range(lo, hi))
     if not written:
         return 0.0
