@@ -280,12 +280,10 @@ class DataCollector(RuntimeListener):
             return None
         return self.sampler.block_mask(grid, self._forced_block_period)
 
-    def on_api_begin(self, event: ApiEvent) -> None:
-        """Count every intercepted API (overhead-model input)."""
-        self.counters.apis_intercepted += 1
-
     def on_api_end(self, event: ApiEvent) -> None:
-        """Dispatch the event to the per-API handler."""
+        """Count the API (overhead-model input) and dispatch it to its
+        handler."""
+        self.counters.apis_intercepted += 1
         if isinstance(event, MallocEvent):
             self._handle_malloc(event)
         elif isinstance(event, FreeEvent):

@@ -6,8 +6,9 @@ repeats until the GPU kernel is finished."
 
 The simulation accounts each deposited access at the Sanitizer record
 width (PC + address + value + thread id) and counts the flushes a real
-run would perform; the overhead model prices each flush as a GPU->CPU
-transfer plus a kernel stall.
+run would perform.  The count goes to the profile's counters
+(``buffer_flushes``) and to ``repro_collector_buffer_flushes_total``;
+the overhead model does not read it.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 The runtime exposes the GPU APIs ValueExpert intercepts (paper Section
 4): memory allocation/free, the ``cudaMemcpy`` family, ``cudaMemset``,
-and kernel launch.  Every API call publishes *begin* and *end* events on
-an :class:`EventBus`; the data collector subscribes to the bus, exactly
-as the real tool overloads the CUDA entry points.  Workload code only
-ever talks to the runtime — it never knows whether a profiler is
-attached.  A trace replay is the bus's other event source.
+and kernel launch.  Every API call publishes one event on an
+:class:`EventBus`, after its effect; an API that raises publishes
+nothing.  The data collector subscribes to the bus, exactly as the real
+tool overloads the CUDA entry points.  Workload code only ever talks to
+the runtime — it never knows whether a profiler is attached.  A trace
+replay is the bus's other event source.
 
 The runtime also serializes all work (the paper's collector "serializes
 concurrent GPU streams") and accumulates modelled kernel/memory time
@@ -129,14 +130,6 @@ class MemcpyEvent(ApiEvent):
     def api_name(self) -> str:
         return "cudaMemcpy"
 
-    @property
-    def writes(self) -> List[Allocation]:
-        return [self.dst_alloc] if self.dst_alloc is not None else []
-
-    @property
-    def reads(self) -> List[Allocation]:
-        return [self.src_alloc] if self.src_alloc is not None else []
-
 
 @dataclass
 class MemsetEvent(ApiEvent):
@@ -154,8 +147,7 @@ class KernelLaunchEvent(ApiEvent):
     kernel: Kernel = None
     grid: int = 1
     block: int = 1
-    args: Tuple = ()
-    #: Filled at *end*: access records when instrumented, else empty.
+    #: Access records when instrumented, else empty.
     records: List[AccessRecord] = field(default_factory=list)
     stats: Optional[KernelStats] = None
     #: (Allocation, bytes_read, bytes_written) per touched object,
@@ -179,21 +171,13 @@ class KernelLaunchEvent(ApiEvent):
     def api_name(self) -> str:
         return "cudaLaunchKernel"
 
-    @property
-    def reads(self) -> List[Allocation]:
-        return [alloc for alloc, nread, _ in self.touched if nread > 0]
-
-    @property
-    def writes(self) -> List[Allocation]:
-        return [alloc for alloc, _, nwritten in self.touched if nwritten > 0]
-
 
 class RuntimeListener:
     """Subscriber protocol for the :class:`EventBus`.
 
-    Override the hooks of interest.  ``on_api_begin`` fires before the
-    API's effect (so pre-snapshots are possible) and ``on_api_end``
-    fires after (records/stats populated for launches).
+    Override the hooks of interest.  ``on_api_end`` fires once per API,
+    after its effect (records and stats populated for launches); an API
+    that raises publishes nothing.
     """
 
     #: When True, the runtime folds all streams onto one timeline while
@@ -217,9 +201,6 @@ class RuntimeListener:
             raise CollectionError(f"{type(self).__name__} is not attached")
         self._source.unsubscribe(self)
         self._source = None
-
-    def on_api_begin(self, event: ApiEvent) -> None:  # pragma: no cover - default
-        pass
 
     def on_api_end(self, event: ApiEvent) -> None:  # pragma: no cover - default
         pass
@@ -292,10 +273,6 @@ class EventBus:
                 if mask is not None:
                     return True, np.asarray(mask, dtype=bool)
         return instrument, None
-
-    def _begin(self, event: ApiEvent) -> None:
-        for listener in self.listeners:
-            listener.on_api_begin(event)
 
     def _end(self, event: ApiEvent) -> None:
         for listener in self.listeners:
@@ -494,7 +471,8 @@ class GpuRuntime(EventBus):
             self._stream_clock.get(key, 0.0), marker.time_s
         )
 
-    def _begin(self, event: ApiEvent) -> None:
+    def _end(self, event: ApiEvent) -> None:
+        """Publish an API whose effect is done, in its operator scope."""
         event.annotation = tuple(self._annotations)
         self.api_events += 1
         if telemetry.ENABLED:
@@ -503,10 +481,6 @@ class GpuRuntime(EventBus):
                 "GPU API invocations crossing the runtime event bus.",
                 labelnames=("api",),
             ).labels(api=event.api_name).inc()
-        super()._begin(event)
-
-    def _end(self, event: ApiEvent) -> None:
-        if telemetry.ENABLED:
             telemetry.counter(
                 "repro_runtime_modelled_seconds_total",
                 "Modelled device seconds accumulated per API.",
@@ -523,7 +497,7 @@ class GpuRuntime(EventBus):
         self, event: ApiEvent, seconds: float, device: Optional[int] = None
     ) -> None:
         """Charge a copy or memset its modelled time, perturbed by any
-        latency fault plan, and publish its end."""
+        latency fault plan, and publish it."""
         if self.fault_injector is not None:
             seconds = self.fault_injector.perturb_memcpy_time(seconds)
         event.time_s = seconds
@@ -538,15 +512,12 @@ class GpuRuntime(EventBus):
     ) -> Allocation:
         """Allocate ``nelems`` elements of ``dtype`` on the device."""
         if self.fault_injector is not None:
-            # Before _begin, so the listener bus stays balanced when the
-            # injected OutOfMemoryError propagates to the workload.
             self.fault_injector.on_malloc(nelems * dtype.itemsize, label)
         event = MallocEvent(
             seq=self._next_seq(),
             call_path=capture_call_path(),
             device=self._current,
         )
-        self._begin(event)
         alloc = self.device.memory.malloc(nelems * dtype.itemsize, dtype, label)
         event.alloc = alloc
         event.time_s = self.platform.malloc_time()
@@ -563,79 +534,31 @@ class GpuRuntime(EventBus):
             alloc=alloc,
             device=self._current,
         )
-        self._begin(event)
         self.device.memory.free(alloc)
         self._end(event)
 
     def memcpy_h2d(self, dst: Allocation, src: HostArray, stream: int = 0) -> None:
         """``cudaMemcpyAsync(..., cudaMemcpyHostToDevice, stream)``."""
         nbytes = min(src.nbytes, dst.size)
-        event = MemcpyEvent(
-            seq=self._next_seq(),
-            call_path=capture_call_path(),
-            kind=MemcpyKind.HOST_TO_DEVICE,
-            nbytes=nbytes,
-            dst_alloc=dst,
-            host_array=src,
-            stream=stream,
-            device=self._current,
-        )
-        self._begin(event)
-        apply_memcpy(event)
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_corrupt(alloc=dst)
-        self._end_memory_api(
-            event, self.platform.memcpy_time(nbytes, over_pcie=True)
+        self._memcpy(
+            MemcpyKind.HOST_TO_DEVICE, nbytes, dst, None, src, stream,
+            self.platform.memcpy_time(nbytes, over_pcie=True),
         )
 
     def memcpy_d2h(self, dst: HostArray, src: Allocation, stream: int = 0) -> None:
         """``cudaMemcpyAsync(..., cudaMemcpyDeviceToHost, stream)``."""
         nbytes = min(dst.nbytes, src.size)
-        event = MemcpyEvent(
-            seq=self._next_seq(),
-            call_path=capture_call_path(),
-            kind=MemcpyKind.DEVICE_TO_HOST,
-            nbytes=nbytes,
-            src_alloc=src,
-            host_array=dst,
-            stream=stream,
-            device=self._current,
-        )
-        self._begin(event)
-        values = src.prefix_view(nbytes // src.dtype.itemsize)
-        host = dst.data
-        _check_copy_source(event, values.size, host.size, "host elements")
-        if host.flags.c_contiguous:
-            host.reshape(-1)[: values.size] = values
-        else:
-            # reshape(-1) would be a copy: write in C order through the
-            # array's own strides.
-            host.flat[: values.size] = values
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_corrupt(host=dst)
-        self._end_memory_api(
-            event, self.platform.memcpy_time(nbytes, over_pcie=True)
+        self._memcpy(
+            MemcpyKind.DEVICE_TO_HOST, nbytes, None, src, dst, stream,
+            self.platform.memcpy_time(nbytes, over_pcie=True),
         )
 
     def memcpy_d2d(self, dst: Allocation, src: Allocation, stream: int = 0) -> None:
         """``cudaMemcpy(..., cudaMemcpyDeviceToDevice)``."""
         nbytes = min(src.size, dst.size)
-        event = MemcpyEvent(
-            seq=self._next_seq(),
-            call_path=capture_call_path(),
-            kind=MemcpyKind.DEVICE_TO_DEVICE,
-            nbytes=nbytes,
-            dst_alloc=dst,
-            src_alloc=src,
-            stream=stream,
-            device=self._current,
-        )
-        self._begin(event)
-        apply_memcpy(event)
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_corrupt(alloc=dst)
-        self._end_memory_api(
-            event, self.platform.memcpy_time(nbytes, over_pcie=False)
+        self._memcpy(
+            MemcpyKind.DEVICE_TO_DEVICE, nbytes, dst, src, None, stream,
+            self.platform.memcpy_time(nbytes, over_pcie=False),
         )
 
     def memcpy_p2p(self, dst: Allocation, src: Allocation, stream: int = 0) -> None:
@@ -647,23 +570,55 @@ class GpuRuntime(EventBus):
         land in an object on the destination device — a cross-device
         edge.
         """
+        nbytes = min(src.size, dst.size)
+        self._memcpy(
+            MemcpyKind.PEER_TO_PEER, nbytes, dst, src, None, stream,
+            self.platform.memcpy_p2p_time(nbytes), src.device,
+        )
+
+    def _memcpy(
+        self,
+        kind: MemcpyKind,
+        nbytes: int,
+        dst: Optional[Allocation],
+        src: Optional[Allocation],
+        host: Optional[HostArray],
+        stream: int,
+        seconds: float,
+        device: Optional[int] = None,
+    ) -> None:
+        """Apply a copy, let any fault plan corrupt the side it wrote,
+        charge ``seconds`` to ``device`` (default: the current one) and
+        publish it."""
         event = MemcpyEvent(
             seq=self._next_seq(),
             call_path=capture_call_path(),
-            kind=MemcpyKind.PEER_TO_PEER,
-            nbytes=min(src.size, dst.size),
+            kind=kind,
+            nbytes=nbytes,
             dst_alloc=dst,
             src_alloc=src,
+            host_array=host,
             stream=stream,
-            device=src.device,
+            device=self._current if device is None else device,
         )
-        self._begin(event)
-        apply_memcpy(event)
+        if kind is MemcpyKind.DEVICE_TO_HOST:
+            # Only a live run writes the host array: a replay keeps the
+            # recorded one, which holds any injected corruption.
+            values = src.prefix_view(nbytes // src.dtype.itemsize)
+            data = host.data
+            _check_copy_source(event, values.size, data.size, "host elements")
+            if data.flags.c_contiguous:
+                data.reshape(-1)[: values.size] = values
+            else:
+                # reshape(-1) would be a copy: write in C order through
+                # the array's own strides.
+                data.flat[: values.size] = values
+        else:
+            apply_memcpy(event)
         if self.fault_injector is not None:
-            self.fault_injector.maybe_corrupt(alloc=dst)
-        self._end_memory_api(
-            event, self.platform.memcpy_p2p_time(event.nbytes), src.device
-        )
+            # The written side: dst, else a D2H copy's host array.
+            self.fault_injector.maybe_corrupt(alloc=dst, host=host)
+        self._end_memory_api(event, seconds, device)
 
     def memset(self, alloc: Allocation, byte_value: int, nbytes: Optional[int] = None) -> None:
         """``cudaMemset``: byte-wise fill, like the real API."""
@@ -678,7 +633,6 @@ class GpuRuntime(EventBus):
             nbytes=nbytes,
             device=self._current,
         )
-        self._begin(event)
         apply_memset(event)
         self._end_memory_api(event, self.platform.memset_time(nbytes))
 
@@ -709,14 +663,12 @@ class GpuRuntime(EventBus):
             kernel=kernel_obj,
             grid=grid,
             block=block,
-            args=args,
             stream=stream,
             device=self._current,
         )
         instrument, sampled = self._vote(kernel_obj, grid, block)
         event.instrumented = instrument
         event.sampled_blocks = sampled
-        self._begin(event)
         ctx = KernelContext(
             kernel_obj,
             grid,

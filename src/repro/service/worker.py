@@ -32,11 +32,6 @@ from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
 from repro.workloads import get_workload
 
-#: Test-only hook: when this environment variable equals the job's
-#: display name, the worker hard-exits before reporting — simulating a
-#: segfault so the pool's crash -> FAILED path stays covered.
-CRASH_ENV = "REPRO_SERVICE_TEST_CRASH"
-
 _PLATFORMS = {"2080ti": RTX_2080_TI, "a100": A100}
 
 
@@ -107,8 +102,6 @@ def execute_job(
 ) -> JobResult:
     """Run one job to completion; returns its result (raises on error)."""
     spec = JobSpec.from_dict(spec_dict)
-    if os.environ.get(CRASH_ENV) == spec.display_name:
-        os._exit(13)
     inject_service_fault(spec, attempt)
     config = build_config(spec)
     registry = MetricsRegistry()

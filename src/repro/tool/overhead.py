@@ -115,7 +115,6 @@ class OverheadReport:
     platform: str
     app_time_s: float
     tool_time_s: float
-    timed_out: bool = False
 
     @property
     def total_time_s(self) -> float:
@@ -130,10 +129,9 @@ class OverheadReport:
         return self.total_time_s / self.app_time_s
 
     def __str__(self) -> str:
-        status = " (TIMEOUT)" if self.timed_out else ""
         return (
             f"{self.tool} on {self.workload} [{self.platform}]: "
-            f"{self.overhead:.2f}x{status}"
+            f"{self.overhead:.2f}x"
         )
 
 
@@ -145,7 +143,6 @@ def price_run(
     kernel_time_s: Optional[float] = None,
     workload: str = "",
     fine: bool = True,
-    timeout_s: Optional[float] = None,
 ) -> OverheadReport:
     """Price one profiling run's overhead from its counters.
 
@@ -198,12 +195,10 @@ def price_run(
         tool_time += counters.snapshot_copies * 2e-6
         tool_time += 2 * counters.snapshot_bytes / model.snapshot_cpu_rate
 
-    timed_out = timeout_s is not None and app_time_s + tool_time > timeout_s
     return OverheadReport(
         tool=model.name,
         workload=workload,
         platform=platform.name,
         app_time_s=app_time_s,
         tool_time_s=tool_time,
-        timed_out=timed_out,
     )

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional
 
 from repro.analysis.profile import ValueProfile
-from repro.collector.sampling import SamplingConfig
 from repro.flowgraph.graph import ValueFlowGraph, VertexKind
 from repro.flowgraph.important import important_graph
 from repro.flowgraph.slicing import vertex_slice
@@ -97,16 +96,16 @@ def select_kernels_from_flows(
     return frozenset(kernels)
 
 
+#: ``I_e`` as a fraction of the heaviest edge's bytes (the paper's
+#: Figure 3 example uses N/2, i.e. half the full-object edge).
+EDGE_IMPORTANCE_FRACTION = 0.5
+
+
 def run_recommended_workflow(
     workload,
     platform: Platform = RTX_2080_TI,
-    edge_importance_fraction: float = 0.5,
-    fine_kernel_period: int = 1,
-    fine_block_period: int = 1,
     observability: bool = False,
     trace_path: Optional[str] = None,
-    resilient: bool = False,
-    fault_plan=None,
 ) -> WorkflowResult:
     """Execute the §4 workflow on a workload.
 
@@ -115,11 +114,6 @@ def run_recommended_workflow(
     workload:
         A :class:`~repro.workloads.base.Workload` (or anything the
         facade accepts via ``run_baseline``).
-    edge_importance_fraction:
-        ``I_e`` as a fraction of the heaviest edge's bytes (the paper's
-        Figure 3 example uses N/2, i.e. half the full-object edge).
-    fine_kernel_period / fine_block_period:
-        Sampling for the second pass.
     observability:
         Self-profile both passes with :mod:`repro.obs` (metrics and
         stage spans accumulate across the two passes).
@@ -127,14 +121,6 @@ def run_recommended_workflow(
         Where to keep the coarse-pass ``.vetrace`` recording.  By
         default a temporary file is used for the fine replay and
         deleted afterwards.
-    resilient:
-        Run both passes in graceful-degradation mode: faults never
-        escape the workflow, and each pass's profile carries a
-        :class:`~repro.resilience.HealthReport`.
-    fault_plan:
-        A :class:`~repro.resilience.FaultPlan` for chaos runs; injected
-        into the live coarse pass only (the fine pass replays the
-        recording, faults and all).  Implies ``resilient``.
     """
     runner = getattr(workload, "run_baseline", workload)
     name = getattr(workload, "name", "")
@@ -143,93 +129,56 @@ def run_recommended_workflow(
         fd, trace_path = tempfile.mkstemp(suffix=".vetrace")
         os.close(fd)
     try:
-        return _run_workflow(
-            runner,
-            name,
-            platform,
-            edge_importance_fraction,
-            fine_kernel_period,
-            fine_block_period,
-            observability,
-            trace_path,
-            keep_trace,
-            resilient,
-            fault_plan,
+        # Pass 1 — coarse only, every kernel; record the run so pass 2
+        # can replay it instead of executing the workload a second time.
+        coarse_tool = ValueExpert(
+            ToolConfig.coarse_only(observability=observability)
         )
+        coarse_profile = coarse_tool.profile(
+            runner, platform=platform, name=name, record_path=trace_path
+        )
+        graph = coarse_profile.graph
+
+        # Important graph over byte importance (I_e relative to the
+        # heaviest flow, as in the paper's N/2 example).
+        heaviest = max(
+            (edge.bytes_accessed for edge in graph.edges()), default=0
+        )
+        pruned = important_graph(
+            graph,
+            edge_threshold=heaviest * EDGE_IMPORTANCE_FRACTION,
+            vertex_threshold=float("inf"),
+        )
+
+        # Slice around the costly redundant flows; select their kernels.
+        selected = select_kernels_from_flows(graph, pruned)
+        slices = [
+            vertex_slice(graph, edge.dst)
+            for edge in pruned.edges()
+            if edge.redundant_fraction is not None
+            and edge.redundant_fraction >= 0.33
+        ]
+
+        result = WorkflowResult(
+            coarse_profile=coarse_profile,
+            important=pruned,
+            slices=slices,
+            selected_kernels=selected,
+            trace_path=trace_path if keep_trace else None,
+        )
+        if selected:
+            # Pass 2 — fine analysis on the selected kernels only,
+            # replayed from the coarse recording (the workload does not
+            # run again).
+            fine_tool = ValueExpert(
+                ToolConfig.fine_only(
+                    kernel_filter=selected, observability=observability
+                )
+            )
+            result.fine_profile = fine_tool.profile_from_trace(
+                trace_path, name=name
+            )
+        return result
     finally:
         if not keep_trace and os.path.exists(trace_path):
             os.unlink(trace_path)
-
-
-def _run_workflow(
-    runner,
-    name: str,
-    platform: Platform,
-    edge_importance_fraction: float,
-    fine_kernel_period: int,
-    fine_block_period: int,
-    observability: bool,
-    trace_path: str,
-    keep_trace: bool,
-    resilient: bool = False,
-    fault_plan=None,
-) -> WorkflowResult:
-    # Pass 1 — coarse only, every kernel; record the run so pass 2 can
-    # replay it instead of executing the workload a second time.
-    coarse_config = ToolConfig.coarse_only(observability=observability)
-    if resilient or fault_plan is not None:
-        coarse_config = replace(
-            coarse_config, resilient=True, fault_plan=fault_plan
-        )
-    coarse_tool = ValueExpert(coarse_config)
-    coarse_profile = coarse_tool.profile(
-        runner, platform=platform, name=name, record_path=trace_path
-    )
-    graph = coarse_profile.graph
-
-    # Important graph over byte importance (I_e relative to the
-    # heaviest flow, as in the paper's N/2 example).
-    heaviest = max(
-        (edge.bytes_accessed for edge in graph.edges()), default=0
-    )
-    threshold = heaviest * edge_importance_fraction
-    pruned = important_graph(
-        graph, edge_threshold=threshold, vertex_threshold=float("inf")
-    )
-
-    # Slice around the costly redundant flows; select their kernels.
-    selected = select_kernels_from_flows(graph, pruned)
-    slices = [
-        vertex_slice(graph, edge.dst)
-        for edge in pruned.edges()
-        if edge.redundant_fraction is not None
-        and edge.redundant_fraction >= 0.33
-    ]
-
-    result = WorkflowResult(
-        coarse_profile=coarse_profile,
-        important=pruned,
-        slices=slices,
-        selected_kernels=selected,
-        trace_path=trace_path if keep_trace else None,
-    )
-    if not selected:
-        return result
-
-    # Pass 2 — fine analysis on the selected kernels only, replayed
-    # from the coarse recording (the workload does not run again).
-    fine_tool = ValueExpert(
-        ToolConfig(
-            coarse=False,
-            fine=True,
-            sampling=SamplingConfig(
-                kernel_sampling_period=fine_kernel_period,
-                block_sampling_period=fine_block_period,
-                kernel_filter=selected,
-            ),
-            observability=observability,
-            resilient=resilient or fault_plan is not None,
-        )
-    )
-    result.fine_profile = fine_tool.profile_from_trace(trace_path, name=name)
-    return result

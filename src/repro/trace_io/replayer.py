@@ -2,11 +2,11 @@
 
 The replayer reads a ``.vetrace`` file and plays its events on the same
 :class:`~repro.gpu.runtime.EventBus` the live
-:class:`~repro.gpu.runtime.GpuRuntime` publishes on: ``on_api_begin``
-fires before the event's memory effect is applied, ``on_api_end``
-after.  Any bus consumer — the data collector, the GVProf baseline,
-race/reuse analyzers — works over a replay unchanged, which is the
-point: one recording, N analyses.
+:class:`~repro.gpu.runtime.GpuRuntime` publishes on: each event's
+memory effect is applied, then ``on_api_end`` publishes it once, as on
+the live bus.  Any bus consumer — the data collector, the GVProf
+baseline, race/reuse analyzers — works over a replay unchanged, which
+is the point: one recording, N analyses.
 
 Device state is reconstructed exactly, without executing any kernel:
 
@@ -420,15 +420,14 @@ class TraceReplayer(EventBus):
     def _replay_one(self, index: int, kind: int, meta: dict, arrays: dict) -> None:
         """Replay event ``index``, refusing it before any listener sees
         it when it lacks a key its replay reads or holds a value replay
-        cannot use.  The per-kind handler
-        begins the event and applies its effect; the end is published
-        here, at the recorded time."""
+        cannot use.  The per-kind handler builds the event and applies
+        its effect; the event is published here, at the recorded time."""
         if kind not in _FRAME_KEYS:
             raise TraceError(f"unknown event kind {kind} in {self.path!r}")
         try:
             _check_frame(kind, meta, arrays)
             # Each handler adopts the frame's allocations before it
-            # begins the event, so an unusable size is refused here.
+            # applies the effect, so an unusable size is refused here.
             if kind == EVENT_MALLOC:
                 event = self._replay_malloc(meta)
             elif kind == EVENT_FREE:
@@ -476,17 +475,13 @@ class TraceReplayer(EventBus):
 
     def _replay_malloc(self, meta: dict) -> MallocEvent:
         alloc = _make_allocation(meta["alloc"], "alloc")
-        event = MallocEvent(**self._common(meta))
-        self._begin(event)
+        event = MallocEvent(alloc=alloc, **self._common(meta))
         self._allocs[(alloc.alloc_id, alloc.address)] = alloc
-        event.alloc = alloc
         return event
 
     def _replay_free(self, meta: dict) -> FreeEvent:
         alloc = self._resolve(meta["alloc"], "alloc")
-        alloc.freed = False  # live FreeEvent carries a still-live handle
         event = FreeEvent(alloc=alloc, **self._common(meta))
-        self._begin(event)
         alloc.freed = True
         self._allocs.pop((alloc.alloc_id, alloc.address), None)
         return event
@@ -503,7 +498,6 @@ class TraceReplayer(EventBus):
             host_array=host,
             **self._common(meta),
         )
-        self._begin(event)
         # D2H writes no device memory: the recorded host array already
         # holds the post-copy contents.
         apply_memcpy(event)
@@ -516,7 +510,6 @@ class TraceReplayer(EventBus):
             nbytes=meta["nbytes"],
             **self._common(meta),
         )
-        self._begin(event)
         apply_memset(event)
         return event
 
@@ -564,7 +557,6 @@ class TraceReplayer(EventBus):
             sampled_blocks=sampled,
             **self._common(meta),
         )
-        self._begin(event)
         # Restore post-launch device state from the recorded contents.
         for index, post in enumerate(meta["post"]):
             alloc = self._allocs.get((post["alloc_id"], post["address"]))

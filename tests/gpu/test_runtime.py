@@ -22,12 +22,8 @@ class RecordingListener(RuntimeListener):
     """Captures the event stream for assertions."""
 
     def __init__(self, instrument=False):
-        self.begins = []
         self.ends = []
         self.instrument = instrument
-
-    def on_api_begin(self, event):
-        self.begins.append(event)
 
     def on_api_end(self, event):
         self.ends.append(event)
@@ -50,22 +46,6 @@ def test_free_event_published(rt):
     alloc = rt.malloc(16, DType.FLOAT32)
     rt.free(alloc)
     assert isinstance(listener.ends[-1], FreeEvent)
-
-
-def test_begin_fires_before_effect(rt):
-    """Pre-snapshots depend on begin firing before the copy happens."""
-    alloc = rt.malloc(16, DType.FLOAT32, "dst")
-    observed = {}
-
-    class PeekListener(RuntimeListener):
-        def on_api_begin(self, event):
-            if isinstance(event, MemcpyEvent):
-                observed["before"] = alloc.read_all().copy()
-
-    rt.subscribe(PeekListener())
-    rt.memcpy_h2d(alloc, HostArray(np.ones(16, np.float32)))
-    assert np.all(observed["before"] == 0)
-    assert np.all(alloc.read_all()[:16] == 1)
 
 
 def test_memcpy_h2d_copies_values(rt):
@@ -166,8 +146,9 @@ def test_no_instrumentation_without_request(rt, fill_kernel):
 def test_launch_event_reads_writes(rt, acc_kernel):
     alloc = rt.malloc(64, DType.FLOAT32)
     event = rt.launch(acc_kernel, 1, 64, alloc, 1.0)
-    assert [a.label for a in event.reads] == [alloc.label]
-    assert [a.label for a in event.writes] == [alloc.label]
+    assert [(a.label, nread, nwritten) for a, nread, nwritten in event.touched] == [
+        (alloc.label, alloc.size, alloc.size)
+    ]
 
 
 def test_times_accumulate(rt, fill_kernel):

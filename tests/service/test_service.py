@@ -16,7 +16,6 @@ from repro.resilience import FaultPlan
 import repro.service.service as service_module
 from repro.service import JobSpec, JobState, ProfilingService, ServiceConfig
 from repro.service.collectors import COLLECTORS
-from repro.service.worker import CRASH_ENV
 from repro.tool.config import ToolConfig
 from repro.tool.valueexpert import ValueExpert
 from repro.workloads import get_workload
@@ -147,16 +146,19 @@ def test_status_document(fleet):
 # -- paths that need their own service instance ------------------------------
 
 
-def test_worker_crash_lands_in_failed(service_factory, monkeypatch):
-    monkeypatch.setenv(CRASH_ENV, "doomed")
+#: A service fault plan whose every attempt hard-exits (exit code 17).
+CRASH_EVERY_ATTEMPT = {"seed": 0, "worker_crash_rate": 1.0, "scope": "service"}
+
+
+def test_worker_crash_lands_in_failed(service_factory):
     service = service_factory(workers=1)
     record = service.submit(
-        JobSpec(workload="rodinia/bfs", scale=0.25, label="doomed")
+        JobSpec(workload="rodinia/bfs", scale=0.25, faults=CRASH_EVERY_ATTEMPT)
     )
     service.store.wait(record.id, timeout=120.0)
     assert record.state is JobState.FAILED
     assert "crashed without reporting" in record.error
-    assert "exit code 13" in record.error
+    assert "exit code 17" in record.error
 
 
 def test_worker_error_detail_reaches_record(service_factory):
@@ -167,11 +169,10 @@ def test_worker_error_detail_reaches_record(service_factory):
     assert "TraceError" in record.error or "Error" in record.error
 
 
-def test_failed_job_folds_nothing(service_factory, monkeypatch):
-    monkeypatch.setenv(CRASH_ENV, "doomed")
+def test_failed_job_folds_nothing(service_factory):
     service = service_factory(workers=1)
     record = service.submit(
-        JobSpec(workload="rodinia/bfs", scale=0.25, label="doomed")
+        JobSpec(workload="rodinia/bfs", scale=0.25, faults=CRASH_EVERY_ATTEMPT)
     )
     service.store.wait(record.id, timeout=120.0)
     assert service.job_metrics.names() == []

@@ -85,15 +85,6 @@ def test_more_intervals_cost_more():
     assert many.tool_time_s > few.tool_time_s
 
 
-def test_timeout_flag():
-    report = price_run(
-        GVPROF_MODEL, _counters(recorded_accesses=10**10), RTX_2080_TI,
-        1e-3, timeout_s=60.0,
-    )
-    assert report.timed_out
-    assert "TIMEOUT" in str(report)
-
-
 def test_gvprof_pays_for_cpu_merge():
     """Moving the merge to the CPU must dominate the GPU-side merge."""
     counters = _counters(recorded_accesses=0, snapshot_bytes=0,

@@ -444,7 +444,7 @@ def test_no_listener_sees_an_ill_typed_frame(recorded, tmp_path, edit):
     seen = []
 
     class Count(RuntimeListener):
-        def on_api_begin(self, event):
+        def on_api_end(self, event):
             seen.append(event)
 
     with TraceReplayer(path) as replayer:

@@ -136,18 +136,26 @@ def test_resilient_replay_reports_a_missing_key(
 
 
 def test_no_listener_sees_a_frame_that_lacks_a_key(recorded, tmp_path):
-    path, target = _damaged(recorded, tmp_path, EVENT_MALLOC, _drop_address)
+    # Damage the second malloc, so that listeners see the events before it.
+    with TraceReader(recorded) as reader:
+        mallocs = [
+            index
+            for index, (kind, _, _) in enumerate(reader.events())
+            if kind == EVENT_MALLOC
+        ]
+    target = mallocs[1]
+    path = _rewrite(recorded, tmp_path, target, _drop_address)
     seen = []
 
     class Count(RuntimeListener):
-        def on_api_begin(self, event):
+        def on_api_end(self, event):
             seen.append(event.seq)
 
     with TraceReplayer(path) as replayer:
         replayer.subscribe(Count())
         with pytest.raises(TraceError):
             replayer.replay()
-    assert len(seen) == target
+    assert len(seen) == target > 0
 
 
 def test_a_listener_exception_keeps_its_type(recorded):

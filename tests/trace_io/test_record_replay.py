@@ -18,18 +18,14 @@ from repro.trace_io import TraceReader, TraceRecorder, TraceReplayer
 
 
 class EventLog(RuntimeListener):
-    """Remembers every begin/end event for comparisons."""
+    """Remembers every published event for comparisons."""
 
     def __init__(self, instrument=False):
-        self.begins = []
         self.ends = []
         self._instrument = instrument
 
     def instrument_kernel(self, kernel, grid, block):
         return self._instrument
-
-    def on_api_begin(self, event):
-        self.begins.append(event)
 
     def on_api_end(self, event):
         self.ends.append(event)
@@ -66,7 +62,7 @@ def test_recorder_counts_every_api_event(tmp_path, rt, copy_kernel):
         assert len(list(reader.events())) == 10  # 1 launch, 2 free
 
 
-def test_replay_fires_begin_and_end_in_recorded_order(tmp_path, rt, copy_kernel):
+def test_replay_publishes_events_in_recorded_order(tmp_path, rt, copy_kernel):
     path, _, _ = _record(tmp_path, rt, copy_kernel)
     live = EventLog()
     rt2 = GpuRuntime()
@@ -77,8 +73,7 @@ def test_replay_fires_begin_and_end_in_recorded_order(tmp_path, rt, copy_kernel)
     with TraceReplayer(path) as replayer:
         replayer.subscribe(replay_log)
         assert replayer.replay() == 10
-    assert len(replay_log.begins) == len(live.begins) == 10
-    assert len(replay_log.ends) == 10
+    assert len(replay_log.ends) == len(live.ends) == 10
     for lhs, rhs in zip(replay_log.ends, live.ends):
         assert type(lhs) is type(rhs)
         assert lhs.seq == rhs.seq
