@@ -11,6 +11,7 @@ runtime published.
 import numpy as np
 import pytest
 
+from repro.analysis.online import OnlineAnalyzer
 from repro.collector.collector import DataCollector
 from repro.errors import InvalidAddressError, InvalidValueError, OutOfMemoryError
 from repro.gpu.dtypes import DType
@@ -40,22 +41,6 @@ REFUSED = [
 REFUSED_IDS = [refuse.__name__ for refuse, _ in REFUSED]
 
 
-class _NoAnalysis:
-    """An analyzer that ignores every observation."""
-
-    def on_malloc(self, obj):
-        pass
-
-    def on_free(self, obj):
-        pass
-
-    def on_memory_api(self, obs):
-        pass
-
-    def on_launch(self, obs):
-        pass
-
-
 class Published(RuntimeListener):
     def __init__(self):
         self.events = []
@@ -68,7 +53,7 @@ class Published(RuntimeListener):
 def test_a_refused_api_publishes_nothing(rt, refuse, error):
     published = Published()
     published.attach(rt)
-    collector = DataCollector(_NoAnalysis())
+    collector = DataCollector(OnlineAnalyzer())
     collector.attach(rt)
     alloc = rt.malloc(16, DType.FLOAT32, "x")
     with pytest.raises(error):
