@@ -11,7 +11,6 @@ import pytest
 
 from repro import ToolConfig, ValueExpert
 from repro.errors import DegradedProfileWarning
-from repro.gpu.dtypes import DType
 from tests.gpu.test_refused_api import REFUSED, REFUSED_IDS
 
 
